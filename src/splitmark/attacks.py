@@ -195,13 +195,11 @@ def quantize(segment: Segment, scheme: str) -> Segment:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {QUANT_SCHEMES}")
     out = segment.copy()
     for layer in out.layers:
-        for name in ("w", "b"):
-            t = getattr(layer, name)
+        for t in (layer.w, layer.b):
             if scheme == "fp16":
-                q = t.astype(np.float16).astype(np.float64)
+                t[...] = t.astype(np.float16)
             else:
-                q = _uniform_quantize(t, 8 if scheme == "int8" else 4)
-            setattr(layer, name, q)
+                t[...] = _uniform_quantize(t, 8 if scheme == "int8" else 4)
     return out
 
 

@@ -18,7 +18,6 @@ import sys
 from .config import Config, ConfigError, load_config, parse_override
 from .linalg import NumericalError, RngStream, StreamLabel
 from .nn import load_model
-from .protocol import RunResult
 from .runner import build_data, build_shards, execute_calibration, execute_run, run_attacks
 from .watermark import load_key, verify
 
@@ -194,10 +193,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     key = load_key(args.key) if args.key else None
     train, test = build_data(cfg)
     shards = build_shards(cfg, train)
-    res = RunResult(
-        metrics=[], model=model, message_log=[], batch_stats=[], grad_rounds={}
-    )
-    results = run_attacks(cfg, res, key, shards, test)
+    results = run_attacks(cfg, model, {}, key, shards, test)
     text = json.dumps(results, indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attacks import QUANT_SCHEMES, AdaptiveAttackConfig, NoiseSpec
-from .data import PartitionSpec
+from .data import PARTITION_MODES, PartitionSpec
 from .nn import LayerSpec, OptimizerConfig, SplitSpec
 from .protocol import ProtocolConfig
 from .watermark import EmbedConfig
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 ATTACK_KINDS = ("finetune", "prune", "quantize", "adaptive")
-PARTITION_MODES = ("iid", "dirichlet", "unbalanced")
 
 
 class ConfigError(ValueError):
@@ -297,7 +296,7 @@ def _validate(v: dict) -> None:
         f"partition.mode must be one of {PARTITION_MODES}",
     )
     check(v["partition.beta"] > 0.0, "partition.beta must be > 0")
-    check(v["partition.sigma"] > 0.0, "partition.sigma must be > 0")
+    check(v["partition.sigma"] >= 0.0, "partition.sigma must be >= 0")
     widths = v["model.widths"]
     check(len(widths) >= 2, "model.widths needs at least 2 layers")
     check(all(w >= 1 for w in widths), "model.widths entries must be >= 1")

@@ -100,12 +100,20 @@ class RngStream:
         return lo + (self._gen.random(int(n)) * span).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        idx = np.arange(int(n), dtype=np.int64)
-        for i in range(int(n) - 1, 0, -1):
-            j = int(self._gen.random() * (i + 1))
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        """Fisher-Yates permutation of range(n).
+
+        For i = n-1 down to 1, swaps position i with j = floor(u_i * (i + 1)),
+        u_i being the stream's next uniform double. The n-1 doubles are drawn
+        in one call, which yields the same values in the same order.
+        """
+        n = int(n)
+        idx = list(range(n))
+        if n > 1:
+            spans = np.arange(n, 1, -1, dtype=np.float64)
+            picks = (self._gen.random(n - 1) * spans).astype(np.int64).tolist()
+            for i, j in zip(range(n - 1, 0, -1), picks):
+                idx[i], idx[j] = idx[j], idx[i]
+        return np.array(idx, dtype=np.int64)
 
     def gamma(self, shape: float) -> float:
         """One gamma(shape, 1) variate via Marsaglia-Tsang squeeze."""
@@ -144,7 +152,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -154,7 +162,7 @@ def gaussian_matrix(rng: RngStream, rows: int, cols: int) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     out = rng.normal(rows * cols).reshape(rows, cols)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError("gaussian sample produced non-finite values")
     return out
 

@@ -36,9 +36,14 @@ class LayerSpec:
 
 
 class Layer:
-    """Affine map y = act(x @ w + b) with w of shape (in_dim, out_dim)."""
+    """Affine map y = act(x @ w + b) with w of shape (in_dim, out_dim).
 
-    __slots__ = ("spec", "w", "b")
+    Inside a Segment, w and b are views into the segment's flat parameter
+    buffer. Assigning to w or b copies the values into that storage, so
+    the buffer and the layer never disagree.
+    """
+
+    __slots__ = ("spec", "_w", "_b")
 
     def __init__(self, spec: LayerSpec, w: np.ndarray, b: np.ndarray):
         if w.shape != (spec.in_dim, spec.out_dim) or b.shape != (spec.out_dim,):
@@ -46,15 +51,42 @@ class Layer:
                 f"parameter shapes {w.shape}/{b.shape} do not match {spec}"
             )
         self.spec = spec
-        self.w = np.asarray(w, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
+        self._w = np.asarray(w, dtype=np.float64)
+        self._b = np.asarray(b, dtype=np.float64)
 
-    def copy(self) -> "Layer":
-        return Layer(self.spec, self.w.copy(), self.b.copy())
+    @property
+    def w(self) -> np.ndarray:
+        return self._w
+
+    @w.setter
+    def w(self, value) -> None:
+        _assign(self._w, value, "w")
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._b
+
+    @b.setter
+    def b(self, value) -> None:
+        _assign(self._b, value, "b")
+
+
+def _assign(target: np.ndarray, value, name: str) -> None:
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != target.shape:
+        raise ValueError(f"{name} has shape {target.shape}, got {value.shape}")
+    target[...] = value
 
 
 class Segment:
-    """An ordered stack of layers; consecutive dimensions must chain."""
+    """An ordered stack of layers; consecutive dimensions must chain.
+
+    All parameters live in one flat float64 buffer, `params`, laid out
+    layer by layer as w (row major) then b, the order of the checkpoint
+    body. Each layer's w and b are views into it, and gradients from
+    backward_segment use the same layout, so optimizer steps, averaging
+    and copies are whole-buffer vector operations.
+    """
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -64,7 +96,41 @@ class Segment:
                 raise ValueError(
                     f"layer chain breaks: {prev.spec.out_dim} -> {nxt.spec.in_dim}"
                 )
+        self._bind([layer.spec for layer in layers], None)
+        for layer, view in zip(layers, self.layers):
+            view.w[...] = layer.w
+            view.b[...] = layer.b
+            layer._w, layer._b = view.w, view.b
         self.layers = layers
+
+    @classmethod
+    def from_params(cls, specs: list[LayerSpec], params: np.ndarray) -> "Segment":
+        """A segment whose layers are views into `params` (not copied)."""
+        seg = cls.__new__(cls)
+        seg._bind(list(specs), params)
+        return seg
+
+    def _bind(self, specs: list[LayerSpec], params: np.ndarray | None) -> None:
+        offsets = []
+        pos = 0
+        for spec in specs:
+            n_w = spec.in_dim * spec.out_dim
+            offsets.append((pos, pos + n_w, pos + n_w + spec.out_dim))
+            pos += n_w + spec.out_dim
+        if params is None:
+            params = np.empty(pos)
+        elif params.dtype != np.float64 or params.shape != (pos,):
+            raise ValueError(
+                f"flat parameters must be float64 of shape ({pos},), "
+                f"got {params.dtype} {params.shape}"
+            )
+        self.params = params
+        # (w_start, b_start, end) per layer, shared with gradient buffers.
+        self.offsets = offsets
+        self.layers = [
+            Layer(spec, params[w0:b0].reshape(spec.in_dim, spec.out_dim), params[b0:end])
+            for spec, (w0, b0, end) in zip(specs, offsets)
+        ]
 
     @property
     def in_dim(self) -> int:
@@ -78,7 +144,21 @@ class Segment:
         return [layer.spec for layer in self.layers]
 
     def copy(self) -> "Segment":
-        return Segment([layer.copy() for layer in self.layers])
+        return Segment.from_params(self.specs(), self.params.copy())
+
+
+class SegmentGrads(tuple):
+    """Per-layer (dW, db) pairs that are views into one flat buffer.
+
+    `flat` has the layout of the segment's `params`, so an optimizer can
+    update the whole segment at once. A tuple, so that no pair can be
+    replaced by an array outside the buffer.
+    """
+
+    def __new__(cls, pairs, flat: np.ndarray):
+        grads = super().__new__(cls, pairs)
+        grads.flat = flat
+        return grads
 
 
 @dataclass
@@ -109,7 +189,8 @@ def forward_segment(seg: Segment, x: np.ndarray) -> tuple[np.ndarray, ForwardTap
     out = x
     for layer in seg.layers:
         tape.inputs.append(out)
-        z = out @ layer.w + layer.b
+        z = out @ layer.w
+        z += layer.b
         tape.pre.append(z)
         out = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
     return out, tape
@@ -117,31 +198,39 @@ def forward_segment(seg: Segment, x: np.ndarray) -> tuple[np.ndarray, ForwardTap
 
 def backward_segment(
     seg: Segment, tape: ForwardTape, upstream: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, SegmentGrads]:
     """Reverse-mode pass through a taped forward.
 
     upstream is dLoss/dOutput for the segment's output. Returns
     (input_gradient, grads) where grads[i] = (dW_i, db_i) aligned with
-    seg.layers. The loss reduction convention (e.g. batch mean) is
+    seg.layers; the pairs are views into grads.flat, which is laid out
+    like seg.params. The loss reduction convention (e.g. batch mean) is
     whatever the upstream gradient already encodes.
     """
-    if len(tape.inputs) != len(seg.layers):
+    layers = seg.layers
+    if len(tape.inputs) != len(layers):
         raise ValueError("tape does not match segment depth")
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != tape.pre[-1].shape:
         raise ValueError(
             f"upstream gradient shape {g.shape} does not match output {tape.pre[-1].shape}"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(seg.layers)
-    for i in range(len(seg.layers) - 1, -1, -1):
-        layer = seg.layers[i]
+    flat = np.empty(seg.params.size)
+    pairs: list = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        w0, b0, end = seg.offsets[i]
         if layer.spec.activation == "relu":
             dz = g * (tape.pre[i] > 0.0)
         else:
             dz = g
-        grads[i] = (tape.inputs[i].T @ dz, dz.sum(axis=0))
+        dw = flat[w0:b0].reshape(layer.spec.in_dim, layer.spec.out_dim)
+        db = flat[b0:end]
+        np.matmul(tape.inputs[i].T, dz, out=dw)
+        dz.sum(axis=0, out=db)
+        pairs[i] = (dw, db)
         g = dz @ layer.w.T
-    return g, grads
+    return g, SegmentGrads(pairs, flat)
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -158,20 +247,23 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
         raise ValueError(f"labels shape {y.shape} does not match batch {z.shape[0]}")
     if y.min() < 0 or y.max() >= z.shape[1]:
         raise ValueError("label outside [0, n_classes)")
-    batch = z.shape[0]
+    batch, n_classes = z.shape
+    # flat positions of the label entries, shared by the loss and the gradient
+    picks = np.arange(0, batch * n_classes, n_classes) + y
     shifted = z - z.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    picked = shifted[np.arange(batch), y] - np.log(expz.sum(axis=1))
-    loss = float(-picked.mean())
-    grad = probs.copy()
-    grad[np.arange(batch), y] -= 1.0
-    return loss, grad / batch
+    sums = expz.sum(axis=1, keepdims=True)
+    picked = shifted.ravel()[picks] - np.log(sums.ravel())
+    loss = float(-(picked.sum() / batch))
+    grad = expz / sums
+    grad.ravel()[picks] -= 1.0
+    grad /= batch
+    return loss, grad
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    pred = np.asarray(logits).argmax(axis=1)
-    return float(np.mean(pred == np.asarray(labels)))
+    hits = np.asarray(logits).argmax(axis=1) == np.asarray(labels)
+    return float(hits.sum() / hits.size)
 
 
 @dataclass(frozen=True)
@@ -242,11 +334,13 @@ def forward_full(model: SplitModel, x: np.ndarray) -> np.ndarray:
 class SgdOptimizer:
     """SGD with classical momentum and optional decoupled L2 term.
 
-    Update rule per parameter tensor:
+    Update rule per parameter:
         v <- momentum * v + g + weight_decay * theta
         theta <- theta - lr * v
-    Velocities start at zero and are keyed by position, so one optimizer
-    instance must keep seeing the same segments in the same order.
+    Each segment is updated as one flat vector (Segment.params), which is
+    elementwise the same arithmetic as a per-tensor loop. Velocities start
+    at zero and are keyed by position, so one optimizer instance must keep
+    seeing the same segments in the same order.
     """
 
     def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
@@ -262,26 +356,48 @@ class SgdOptimizer:
         segments: list[Segment],
         grads: list[list[tuple[np.ndarray, np.ndarray]]],
     ) -> None:
+        """Apply one update; grads[i] holds segments[i]'s (dW, db) pairs,
+        as returned by backward_segment or as a plain list. No segment is
+        touched unless every gradient is finite."""
         if len(segments) != len(grads):
             raise ValueError("segments and gradient lists differ in length")
-        slot = 0
-        for seg, seg_grads in zip(segments, grads):
-            if len(seg.layers) != len(seg_grads):
-                raise ValueError("gradient list does not match segment depth")
-            for layer, (dw, db) in zip(seg.layers, seg_grads):
-                if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-                    raise NumericalError("non-finite gradient in optimizer step")
-                for param, grad in ((layer.w, dw), (layer.b, db)):
-                    v = self._velocity.get(slot)
-                    if v is None:
-                        v = np.zeros_like(param)
-                        self._velocity[slot] = v
-                    v *= self.momentum
-                    v += grad
-                    if self.weight_decay:
-                        v += self.weight_decay * param
-                    param -= self.lr * v
-                    slot += 1
+        flats = [_flat_grad(seg, seg_grads) for seg, seg_grads in zip(segments, grads)]
+        for flat in flats:
+            if not np.isfinite(flat).all():
+                raise NumericalError("non-finite gradient in optimizer step")
+        for slot, (seg, flat) in enumerate(zip(segments, flats)):
+            param = seg.params
+            v = self._velocity.get(slot)
+            if v is None:
+                v = np.zeros_like(param)
+                self._velocity[slot] = v
+            elif v.shape != param.shape:
+                raise ValueError("segment sizes changed between optimizer steps")
+            v *= self.momentum
+            v += flat
+            if self.weight_decay:
+                v += self.weight_decay * param
+            param -= self.lr * v
+
+
+def _flat_grad(seg: Segment, seg_grads) -> np.ndarray:
+    """seg_grads as one vector in the layout of seg.params."""
+    if len(seg.layers) != len(seg_grads):
+        raise ValueError("gradient list does not match segment depth")
+    flat = getattr(seg_grads, "flat", None)
+    if flat is not None and flat.shape == seg.params.shape:
+        return flat
+    flat = np.empty(seg.params.size)
+    for layer, (w0, b0, end), (dw, db) in zip(seg.layers, seg.offsets, seg_grads):
+        dw = np.asarray(dw, dtype=np.float64)
+        db = np.asarray(db, dtype=np.float64)
+        if dw.shape != layer.w.shape or db.shape != layer.b.shape:
+            raise ValueError(
+                f"gradient shapes {dw.shape}/{db.shape} do not match {layer.spec}"
+            )
+        flat[w0:b0] = dw.ravel()
+        flat[b0:end] = db
+    return flat
 
 
 @dataclass(frozen=True)
@@ -371,9 +487,4 @@ def load_model(path: str) -> SplitModel:
 
 def segments_equal(a: Segment, b: Segment) -> bool:
     """Exact (bitwise) parameter equality between two segments."""
-    if a.specs() != b.specs():
-        return False
-    return all(
-        np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
-        for la, lb in zip(a.layers, b.layers)
-    )
+    return a.specs() == b.specs() and np.array_equal(a.params, b.params)

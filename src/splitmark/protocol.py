@@ -24,8 +24,10 @@ then both sides are aggregated by shard-size-weighted averaging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +77,9 @@ _BATCH_SEQUENCE = (
 )
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One boundary tensor: its kind, where it was sent, and its shape."""
+
     kind: MessageKind
     round_idx: int
     client: int
@@ -234,7 +237,7 @@ class ServerWorker:
         self._opt.step([self.middle], [middle_grads])
         self._tape = None
         stats = {
-            "g_main_norm": float(np.sqrt((g_main**2).sum())),
+            "g_main_norm": math.sqrt((g_main**2).sum()),
             "wm_loss": None,
             "g_wm_raw_norm": None,
             "g_wm_clipped_norm": None,
@@ -246,8 +249,8 @@ class ServerWorker:
             g_wm = wm_gradient(a, self.key)
             g_clipped = adaptive_clip(g_wm, g_main, self.embed)
             stats["wm_loss"] = wm_loss(a, self.key)
-            stats["g_wm_raw_norm"] = float(np.sqrt((g_wm**2).sum()))
-            stats["g_wm_clipped_norm"] = float(np.sqrt((g_clipped**2).sum()))
+            stats["g_wm_raw_norm"] = math.sqrt((g_wm**2).sum())
+            stats["g_wm_clipped_norm"] = math.sqrt((g_clipped**2).sum())
             stats["cos_main_wm"] = cosine(g_main, g_wm)
             if self.embed.strength > 0.0:
                 g_final = compose(g_main, g_clipped)
@@ -297,15 +300,11 @@ def fedavg_segments(segments: list[Segment], weights) -> Segment:
     for seg in segments[1:]:
         if seg.specs() != ref:
             raise ValueError("segments must share layer specs to aggregate")
-    out = segments[0].copy()
-    for li, layer in enumerate(out.layers):
-        layer.w = sum(
-            wi * seg.layers[li].w for wi, seg in zip(w, segments)
-        )
-        layer.b = sum(
-            wi * seg.layers[li].b for wi, seg in zip(w, segments)
-        )
-    return out
+    # Same accumulation order as sum(wi * p for ...): ((0 + w0 p0) + w1 p1) + ...
+    avg = np.zeros_like(segments[0].params)
+    for wi, seg in zip(w, segments):
+        avg += wi * seg.params
+    return Segment.from_params(ref, avg)
 
 
 @dataclass(frozen=True)

@@ -131,21 +131,22 @@ def _surrogate_acc(bottom, head, test: Dataset) -> float:
 
 def run_attacks(
     cfg: Config,
-    res: RunResult,
+    model: SplitModel,
+    grad_rounds: dict[int, np.ndarray],
     key: WatermarkKey | None,
     shards: list[Dataset],
     test: Dataset,
 ) -> list[dict]:
     """Apply the configured attack list to the trained model.
 
-    Each entry reports the attack name and parameters plus pre/post test
-    accuracy and (when a key exists) pre/post WSR measured on a probe
-    stream shared between the pre and post checks, so the drop is a
-    paired comparison.
+    grad_rounds is the attacker client's gradient log (RunResult.grad_rounds);
+    only the adaptive attack reads it. Each entry reports the attack name
+    and parameters plus pre/post test accuracy and (when a key exists)
+    pre/post WSR measured on a probe stream shared between the pre and
+    post checks, so the drop is a paired comparison.
     """
     seed = cfg["run.seed"]
     shard = shards[0]
-    model = res.model
     pre_acc = accuracy(forward_full(model, test.inputs), test.labels)
 
     def wsr_of(bottom) -> float | None:
@@ -216,13 +217,11 @@ def run_attacks(
                 )
         elif kind == "adaptive":
             atk = cfg.adaptive_attack()
-            early = np.vstack(
-                [res.grad_rounds[t] for t in range(*atk.rounds_early)]
-            )
+            early = np.vstack([grad_rounds[t] for t in range(*atk.rounds_early)])
             cap = cfg["attack.early_rows"]
             if cap:
                 early = early[:cap]
-            late = np.vstack([res.grad_rounds[t] for t in range(*atk.rounds_late)])
+            late = np.vstack([grad_rounds[t] for t in range(*atk.rounds_late)])
             est = estimate_subspace(early, late, atk.n_main, atk.k_prime)
             rng = RngStream(seed, StreamLabel.ATTACK, (2,))
             nb, head = adaptive_remove(model.bottom, shard, est, atk, rng)
@@ -313,7 +312,9 @@ def execute_run(cfg: Config, out_dir: str | None = None) -> dict:
             "mean": float(np.mean(detector.counts)) if detector.counts else None,
         }
     if cfg["attack.kinds"]:
-        results["attacks"] = run_attacks(cfg, res, key, shards, test)
+        results["attacks"] = run_attacks(
+            cfg, res.model, res.grad_rounds, key, shards, test
+        )
 
     save_model(res.model, os.path.join(out, "model.ckpt"))
     write_metrics_csv(res, os.path.join(out, "metrics.csv"))

@@ -17,6 +17,7 @@ respect to A is C @ M^T, so every row lies in the span of M's columns.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -135,12 +136,10 @@ def keygen(rng: RngStream, d: int, k: int) -> WatermarkKey:
 
 
 def _sigmoid(p: np.ndarray) -> np.ndarray:
-    out = np.empty_like(p)
-    pos = p >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-p[pos]))
-    ep = np.exp(p[~pos])
-    out[~pos] = ep / (1.0 + ep)
-    return out
+    # 1 / (1 + e^-p) for p >= 0 and e^p / (1 + e^p) below, from one exp(-|p|),
+    # so neither branch can overflow.
+    e = np.exp(-np.abs(p))
+    return np.where(p >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _projections(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
@@ -162,7 +161,7 @@ def wm_loss(a_flat: np.ndarray, key: WatermarkKey) -> float:
     """
     p = _projections(a_flat, key)
     losses = np.maximum(p, 0.0) - p * key.bits + np.log1p(np.exp(-np.abs(p)))
-    return float(losses.mean())
+    return float(losses.sum() / losses.size)
 
 
 def wm_gradient(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
@@ -193,8 +192,8 @@ def adaptive_clip(
         main_norms = np.sqrt((gm**2).sum(axis=1))
         factor = np.minimum(1.0, cfg.strength * main_norms / (wm_norms + cfg.epsilon))
         return gw * factor[:, None]
-    wm_norm = float(np.sqrt((gw**2).sum()))
-    main_norm = float(np.sqrt((gm**2).sum()))
+    wm_norm = math.sqrt((gw**2).sum())
+    main_norm = math.sqrt((gm**2).sum())
     factor = min(1.0, cfg.strength * main_norm / (wm_norm + cfg.epsilon))
     return gw * factor
 

@@ -462,7 +462,9 @@ def _adaptive_arm(member: str, seed: int) -> dict:
         overrides={"run.seed": seed},
     )
     bundle = _execute(cfg)
-    entries = run_attacks(cfg, bundle.res, bundle.key, bundle.shards, bundle.test)
+    entries = run_attacks(
+        cfg, bundle.res.model, bundle.res.grad_rounds, bundle.key, bundle.shards, bundle.test
+    )
     (entry,) = [e for e in entries if e["name"] == "adaptive"]
     return entry
 

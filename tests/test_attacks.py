@@ -238,6 +238,23 @@ def test_quantize_int4_levels_enumerated():
     assert np.abs(np.round(ticks)).max() <= 7
 
 
+def test_prune_and_quantize_results_drive_the_forward_pass():
+    bottom = _bottom(seed=8)
+    x = RngStream(8, StreamLabel.DATA, (1,)).normal(30).reshape(5, 6)
+    attacked = [prune(bottom, 0.5)] + [quantize(bottom, s) for s in QUANT_SCHEMES]
+    for seg in attacked:
+        h = x
+        for layer in seg.layers:
+            h = np.maximum(h @ layer.w + layer.b, 0.0)
+        out, _ = forward_segment(seg, x)
+        assert np.array_equal(out, h)
+        assert np.array_equal(
+            seg.params,
+            np.concatenate([np.ravel(t) for layer in seg.layers for t in (layer.w, layer.b)]),
+        )
+        assert not np.array_equal(out, forward_segment(bottom, x)[0])
+
+
 def test_quantize_rejects_unknown_scheme():
     with pytest.raises(ValueError):
         quantize(_bottom(), "int2")

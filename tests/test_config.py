@@ -3,6 +3,7 @@
 import pytest
 
 from splitmark.attacks import QUANT_SCHEMES
+from splitmark.data import PartitionSpec
 from splitmark.config import (
     SCHEMA,
     Config,
@@ -127,6 +128,26 @@ def test_partition_mode_and_attack_kind_vocabulary():
         parse_config("attack.kinds = finetune, melt\n")
     with pytest.raises(ConfigError, match="scheme"):
         parse_config("attack.quant_schemes = int2\n")
+
+
+@pytest.mark.parametrize("sigma, accepted", [(-1.0, False), (0.0, True), (1.0, True)])
+def test_partition_sigma_bound_agrees_with_the_library(sigma, accepted):
+    def library_accepts():
+        try:
+            PartitionSpec(4, "unbalanced", sigma=sigma)
+        except ValueError:
+            return False
+        return True
+
+    def config_accepts():
+        try:
+            parse_config(f"partition.mode = unbalanced\npartition.sigma = {sigma}\n")
+        except ConfigError:
+            return False
+        return True
+
+    assert library_accepts() is accepted
+    assert config_accepts() is accepted
 
 
 def test_parse_override_types_and_errors():

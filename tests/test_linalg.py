@@ -165,3 +165,24 @@ def test_spectrum_is_frozen():
     assert isinstance(spec, Spectrum)
     with pytest.raises(AttributeError):
         spec.eigenvalues = None
+
+
+def _sequential_fisher_yates(rng: RngStream, n: int) -> np.ndarray:
+    """The one-draw-per-swap reference the batched permutation must match."""
+    idx = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = int(rng._gen.random() * (i + 1))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 200])
+def test_permutation_matches_sequential_fisher_yates(n):
+    fast = RngStream(12, StreamLabel.DATA, (3,))
+    slow = RngStream(12, StreamLabel.DATA, (3,))
+    got = fast.permutation(n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _sequential_fisher_yates(slow, n))
+    assert sorted(got.tolist()) == list(range(n))
+    # both consumed the same draws, so the streams continue identically
+    assert np.array_equal(fast.uniform(3), slow.uniform(3))

@@ -255,3 +255,146 @@ def test_optimizer_config_builds():
     opt = OptimizerConfig(lr=0.01, momentum=0.5, weight_decay=0.1).build()
     assert isinstance(opt, SgdOptimizer)
     assert opt.lr == 0.01 and opt.momentum == 0.5 and opt.weight_decay == 0.1
+
+
+# ------------------------------------------------------ flat parameter buffer
+
+
+def test_layer_views_and_flat_params_stay_in_sync():
+    seg = _random_segment(RngStream(3, StreamLabel.MODEL_INIT), [3, 4, 2])
+    first, second = seg.layers
+    assert seg.params.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    # layout: w row major then b, layer by layer
+    assert np.array_equal(
+        seg.params,
+        np.concatenate([first.w.ravel(), first.b, second.w.ravel(), second.b]),
+    )
+    first.w[1, 2] = 7.0
+    assert seg.params[1 * 4 + 2] == 7.0
+    second.b = np.array([5.0, 6.0])
+    assert np.array_equal(seg.params[-2:], [5.0, 6.0])
+    seg.params[12] = -3.0  # first layer's bias, entry 0
+    assert first.b[0] == -3.0
+    with pytest.raises(ValueError):
+        second.b = np.zeros(3)
+
+
+def test_segment_adopts_the_layers_it_is_built_from():
+    layer = Layer(LayerSpec(2, 2, "identity"), np.eye(2), np.zeros(2))
+    seg = Segment([layer])
+    assert seg.layers[0] is layer
+    layer.w[0, 1] = 4.0
+    assert seg.params[1] == 4.0
+
+
+def test_segment_copy_shares_no_memory():
+    seg = _random_segment(RngStream(4, StreamLabel.MODEL_INIT), [3, 5, 2])
+    clone = seg.copy()
+    assert segments_equal(seg, clone)
+    assert not np.shares_memory(seg.params, clone.params)
+    for a, b in zip(seg.layers, clone.layers):
+        assert not np.shares_memory(a.w, b.w) and not np.shares_memory(a.b, b.b)
+    clone.layers[0].w[0, 0] += 1.0
+    clone.params[-1] += 1.0
+    assert not np.array_equal(seg.params, clone.params)
+    assert seg.layers[0].w[0, 0] != clone.layers[0].w[0, 0]
+
+
+def test_backward_grads_are_views_of_one_flat_buffer():
+    rng = RngStream(5, StreamLabel.MODEL_INIT)
+    seg = _random_segment(rng, [3, 4, 2])
+    x = rng.normal(15).reshape(5, 3)
+    out, tape = forward_segment(seg, x)
+    _, grads = backward_segment(seg, tape, np.ones_like(out))
+    assert grads.flat.shape == seg.params.shape
+    assert np.array_equal(
+        grads.flat, np.concatenate([np.ravel(t) for pair in grads for t in pair])
+    )
+    # the same products as the plain per-layer formulas
+    a0 = tape.inputs[1]
+    assert np.array_equal(grads[1][0], a0.T @ np.ones_like(out))
+    assert np.array_equal(grads[1][1], np.ones_like(out).sum(axis=0))
+
+
+def _reference_sgd(params, grad_steps, lr, momentum, weight_decay):
+    """Per-tensor SGD as written before the flat buffer: one velocity per
+    tensor, the same four operations on each."""
+    params = [p.copy() for p in params]
+    velocity = [np.zeros_like(p) for p in params]
+    for grads in grad_steps:
+        for p, v, g in zip(params, velocity, grads):
+            v *= momentum
+            v += g
+            if weight_decay:
+                v += weight_decay * p
+            p -= lr * v
+    return params
+
+
+def test_flat_sgd_is_bitwise_the_per_tensor_update():
+    rng = RngStream(6, StreamLabel.MODEL_INIT)
+    bottom = _random_segment(rng, [4, 6, 5])
+    head = _random_segment(rng, [5, 3])
+    before = [t.copy() for s in (bottom, head) for l in s.layers for t in (l.w, l.b)]
+    steps = []
+    for _ in range(4):
+        steps.append(
+            [
+                [(rng.normal(l.w.size).reshape(l.w.shape), rng.normal(l.b.size)) for l in s.layers]
+                for s in (bottom, head)
+            ]
+        )
+    opt = SgdOptimizer(lr=0.07, momentum=0.9, weight_decay=0.013)
+    for step_grads in steps:
+        opt.step([bottom, head], step_grads)
+    expected = _reference_sgd(
+        before,
+        [[t for seg_grads in s for pair in seg_grads for t in pair] for s in steps],
+        0.07,
+        0.9,
+        0.013,
+    )
+    got = [t for s in (bottom, head) for l in s.layers for t in (l.w, l.b)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_flat_sgd_from_backward_matches_plain_lists():
+    rng = RngStream(7, StreamLabel.MODEL_INIT)
+    seg = _random_segment(rng, [3, 4, 2])
+    twin = seg.copy()
+    x = rng.normal(12).reshape(4, 3)
+    out, tape = forward_segment(seg, x)
+    _, grads = backward_segment(seg, tape, np.ones_like(out))
+    plain = [(dw.copy(), db.copy()) for dw, db in grads]
+    opt_a, opt_b = SgdOptimizer(0.1, 0.9), SgdOptimizer(0.1, 0.9)
+    for _ in range(2):
+        opt_a.step([seg], [grads])
+        opt_b.step([twin], [plain])
+    assert segments_equal(seg, twin)
+
+
+def test_sgd_nan_in_last_bias_of_second_segment_raises_and_updates_nothing():
+    rng = RngStream(8, StreamLabel.MODEL_INIT)
+    first = _random_segment(rng, [3, 4])
+    second = _random_segment(rng, [4, 4, 2])
+    snapshot = (first.params.copy(), second.params.copy())
+    grads_first = [(np.ones((3, 4)), np.ones(4))]
+    grads_second = [(np.ones((4, 4)), np.ones(4)), (np.ones((4, 2)), np.array([0.0, np.nan]))]
+    opt = SgdOptimizer(lr=0.1)
+    with pytest.raises(NumericalError):
+        opt.step([first, second], [grads_first, grads_second])
+    assert np.array_equal(first.params, snapshot[0])
+    assert np.array_equal(second.params, snapshot[1])
+    # also when the gradients come from backward_segment's flat buffer
+    out, tape = forward_segment(second, rng.normal(8).reshape(2, 4))
+    _, flat_grads = backward_segment(second, tape, np.ones_like(out))
+    flat_grads[-1][1][-1] = np.inf
+    with pytest.raises(NumericalError):
+        opt.step([second], [flat_grads])
+    assert np.array_equal(second.params, snapshot[1])
+
+
+def test_sgd_rejects_gradients_of_the_wrong_shape():
+    seg = _random_segment(RngStream(9, StreamLabel.MODEL_INIT), [3, 2])
+    with pytest.raises(ValueError):
+        SgdOptimizer(0.1).step([seg], [[(np.ones((2, 3)), np.ones(2))]])

@@ -132,6 +132,21 @@ def test_fedavg_validation():
         fedavg_segments([a, a.copy()], [0.0, 0.0])
 
 
+def test_fedavg_is_bitwise_the_per_layer_weighted_sum():
+    rng = RngStream(11, StreamLabel.MODEL_INIT)
+    spec = _spec()
+    segments = [init_split_model(spec, rng.child(i)).bottom for i in range(4)]
+    raw = np.array([3.0, 7.0, 1.0, 5.0])
+    out = fedavg_segments(segments, raw)
+    w = raw / raw.sum()
+    for li, layer in enumerate(out.layers):
+        expect_w = sum(wi * seg.layers[li].w for wi, seg in zip(w, segments))
+        expect_b = sum(wi * seg.layers[li].b for wi, seg in zip(w, segments))
+        assert np.array_equal(layer.w, expect_w)
+        assert np.array_equal(layer.b, expect_b)
+    assert all(not np.shares_memory(out.params, s.params) for s in segments)
+
+
 def test_zero_rounds_returns_initial_model():
     res = _run(seed=5, rounds=0)
     reference = init_split_model(_spec(), RngStream(5, StreamLabel.MODEL_INIT))
