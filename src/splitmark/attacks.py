@@ -124,7 +124,7 @@ def _surrogate_finetune(
         if penalty is not None and gamma != 0.0:
             _, g_pen = penalty(a)
             g_split = g_split + gamma * g_pen
-        _, bottom_grads = backward_segment(work, tape_b, g_split)
+        _, bottom_grads = backward_segment(work, tape_b, g_split, need_input_grad=False)
         opt.step([work, head], [bottom_grads, head_grads])
     return work, head
 

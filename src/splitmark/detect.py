@@ -204,7 +204,9 @@ def build_reference(
             g_s, head_grads = backward_segment(model.head, tape_h, g_logits)
             g_a, middle_grads = backward_segment(model.middle, tape_m, g_s)
             rows.append(g_a.copy())
-            _, bottom_grads = backward_segment(model.bottom, tape_b, g_a)
+            _, bottom_grads = backward_segment(
+                model.bottom, tape_b, g_a, need_input_grad=False
+            )
             optimizer.step(
                 [model.bottom, model.middle, model.head],
                 [bottom_grads, middle_grads, head_grads],

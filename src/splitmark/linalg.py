@@ -26,7 +26,6 @@ __all__ = [
     "RngStream",
     "as_matrix",
     "gaussian_matrix",
-    "frobenius_norm",
     "Spectrum",
     "sym_eig",
     "pca",
@@ -167,10 +166,6 @@ def gaussian_matrix(rng: RngStream, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.asarray(a, dtype=np.float64) ** 2)))
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition result: descending eigenvalues, orthonormal columns."""
@@ -179,20 +174,14 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return frobenius_norm(off)
+def sym_eig(a) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by LAPACK (np.linalg.eigh).
 
+    Eigenvalues come back sorted descending (stable order on ties) and each
+    eigenvector is sign normalized so its largest-magnitude entry is
+    positive.
 
-def sym_eig(a, max_sweeps: int = 100, tol_factor: float = 1e-12) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Convergence is declared when the off-diagonal Frobenius mass drops below
-    tol_factor times the Frobenius norm of the input. Eigenvalues come back
-    sorted descending (stable order on ties) and each eigenvector is sign
-    normalized so its largest-magnitude entry is positive.
-
-    Raises NumericalError if max_sweeps cyclic sweeps do not converge.
+    Raises NumericalError if LAPACK does not converge.
     """
     a = as_matrix(a, "sym_eig input")
     n, m = a.shape
@@ -203,59 +192,16 @@ def sym_eig(a, max_sweeps: int = 100, tol_factor: float = 1e-12) -> Spectrum:
     if asym > 1e-10 * scale:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
 
-    work = 0.5 * (a + a.T)
-    v = np.eye(n)
-    total = frobenius_norm(work)
-    if total == 0.0 or n == 1:
-        order = np.argsort(-np.diag(work), kind="stable")
-        return Spectrum(np.diag(work)[order].copy(), v[:, order].copy())
-    tol = tol_factor * total
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_norm(work) < tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Similarity rotation in the (p, q) plane; columns then rows.
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        converged = _offdiag_norm(work) < tol
-    if not converged:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps"
-        )
-
-    vals = np.diag(work).copy()
+    try:
+        vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver did not converge: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = v[:, order]
-    for j in range(n):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    vecs = vecs[:, order]
+    if n:
+        peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+        vecs[:, peaks < 0.0] *= -1.0
     return Spectrum(vals, vecs)
 
 

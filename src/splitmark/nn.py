@@ -197,15 +197,21 @@ def forward_segment(seg: Segment, x: np.ndarray) -> tuple[np.ndarray, ForwardTap
 
 
 def backward_segment(
-    seg: Segment, tape: ForwardTape, upstream: np.ndarray
-) -> tuple[np.ndarray, SegmentGrads]:
+    seg: Segment,
+    tape: ForwardTape,
+    upstream: np.ndarray,
+    *,
+    need_input_grad: bool = True,
+) -> tuple[np.ndarray | None, SegmentGrads]:
     """Reverse-mode pass through a taped forward.
 
     upstream is dLoss/dOutput for the segment's output. Returns
     (input_gradient, grads) where grads[i] = (dW_i, db_i) aligned with
     seg.layers; the pairs are views into grads.flat, which is laid out
     like seg.params. The loss reduction convention (e.g. batch mean) is
-    whatever the upstream gradient already encodes.
+    whatever the upstream gradient already encodes. With
+    need_input_grad=False (a bottom segment, whose input is data) the
+    last product is skipped and input_gradient is None.
     """
     layers = seg.layers
     if len(tape.inputs) != len(layers):
@@ -229,7 +235,7 @@ def backward_segment(
         np.matmul(tape.inputs[i].T, dz, out=dw)
         dz.sum(axis=0, out=db)
         pairs[i] = (dw, db)
-        g = dz @ layer.w.T
+        g = dz @ layer.w.T if i or need_input_grad else None
     return g, SegmentGrads(pairs, flat)
 
 

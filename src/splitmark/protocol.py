@@ -184,7 +184,9 @@ class ClientWorker:
         g = g_final
         if self.noise is not None:
             g = inject_noise(g_final, self.noise, self.noise_rng)
-        _, bottom_grads = backward_segment(self.bottom, self._tape_bottom, g)
+        _, bottom_grads = backward_segment(
+            self.bottom, self._tape_bottom, g, need_input_grad=False
+        )
         self._opt.step([self.bottom, self.head], [bottom_grads, self._head_grads])
         self._tape_bottom = None
         self._head_grads = None

@@ -58,6 +58,8 @@ SEEDS = (0, 1, 2, 3, 4)
 TAU = 0.7
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "splitmark", "presets")
 
+pytestmark = pytest.mark.slow
+
 
 # --------------------------------------------------------------------------
 # shared run machinery

@@ -1,14 +1,14 @@
-"""Deterministic RNG streams, the Jacobi eigensolver, and PCA."""
+"""Deterministic RNG streams, the symmetric eigensolver, and PCA."""
 
 import numpy as np
 import pytest
 
 from splitmark.linalg import (
+    NumericalError,
     RngStream,
     Spectrum,
     StreamLabel,
     cosine,
-    frobenius_norm,
     gaussian_matrix,
     orthonormal_columns,
     pca,
@@ -94,14 +94,41 @@ def test_sym_eig_random_property():
         q, lam = spec.eigenvectors, spec.eigenvalues
         assert np.all(np.diff(lam) <= 1e-10)
         assert np.allclose(q.T @ q, np.eye(n), atol=1e-8)
-        assert frobenius_norm(q @ np.diag(lam) @ q.T - a) <= 1e-8 * max(
-            1.0, frobenius_norm(a)
+        assert np.linalg.norm(q @ np.diag(lam) @ q.T - a) <= 1e-8 * max(
+            1.0, np.linalg.norm(a)
         )
+
+
+def test_sym_eig_sign_rule_on_random_input():
+    # The inputs of test_sym_eig_random_property: every eigenvector's
+    # largest-magnitude entry comes back positive.
+    rng = np.random.default_rng(0)
+    for trial in range(10):
+        n = int(rng.integers(2, 65))
+        a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2
+        q = sym_eig(a).eigenvectors
+        peaks = q[np.argmax(np.abs(q), axis=0), np.arange(n)]
+        assert np.all(peaks > 0.0)
 
 
 def test_sym_eig_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_sym_eig_rejects_nan():
+    with pytest.raises(ValueError):
+        sym_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_sym_eig_lapack_failure_is_numerical_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError):
+        sym_eig(np.eye(3))
 
 
 def test_pca_rank_one_line():
@@ -129,6 +156,26 @@ def test_pca_reconstructs_covariance():
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (len(x) - 1)
     assert np.allclose(basis @ np.diag(weights) @ basis.T, cov, atol=1e-8)
+
+
+def test_pca_matches_svd_on_rank_deficient_gradient_rows():
+    # Attacker-shaped input: 200 received rows of a 64-wide cut with four
+    # directions projected out, top 16 components.
+    rng = np.random.default_rng(9)
+    n, d, k = 200, 64, 16
+    x = rng.normal(size=(n, d)) * np.geomspace(10.0, 0.1, d)
+    q, _ = np.linalg.qr(rng.normal(size=(d, 4)))
+    x -= (x @ q) @ q.T
+    centered = x - x.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    assert np.all(s[d - 4 :] < 1e-12 * s[0])
+    # separated singular values, so each component is defined up to sign
+    assert np.min(s[:k] - s[1 : k + 1]) > 1e-3 * s[0]
+    basis, variances = pca(x, k)
+    assert basis.shape == (d, k)
+    assert np.allclose(variances, s[:k] ** 2 / (n - 1), rtol=1e-10, atol=0.0)
+    cos = np.abs(np.sum(basis * vt[:k].T, axis=0))
+    assert np.all(cos >= 1.0 - 1e-10)
 
 
 def test_pca_rejects_too_many_components():

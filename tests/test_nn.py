@@ -316,6 +316,21 @@ def test_backward_grads_are_views_of_one_flat_buffer():
     assert np.array_equal(grads[1][1], np.ones_like(out).sum(axis=0))
 
 
+def test_backward_without_input_grad_keeps_parameter_grads_bitwise():
+    rng = RngStream(6, StreamLabel.MODEL_INIT)
+    seg = _random_segment(rng, [5, 7, 6, 3], ["relu", "relu", "identity"])
+    x = rng.normal(4 * 5).reshape(4, 5)
+    out, tape = forward_segment(seg, x)
+    up = rng.normal(out.size).reshape(out.shape)
+    gin, full = backward_segment(seg, tape, up)
+    skipped_gin, skipped = backward_segment(seg, tape, up, need_input_grad=False)
+    assert gin.shape == x.shape
+    assert skipped_gin is None
+    assert np.array_equal(skipped.flat, full.flat)
+    for (dw, db), (sdw, sdb) in zip(full, skipped):
+        assert np.array_equal(dw, sdw) and np.array_equal(db, sdb)
+
+
 def _reference_sgd(params, grad_steps, lr, momentum, weight_decay):
     """Per-tensor SGD as written before the flat buffer: one velocity per
     tensor, the same four operations on each."""
