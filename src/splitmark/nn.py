@@ -251,7 +251,8 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
         raise ValueError(f"logits must be a non-empty 2-D array, got shape {z.shape}")
     if y.shape != (z.shape[0],):
         raise ValueError(f"labels shape {y.shape} does not match batch {z.shape[0]}")
-    if y.min() < 0 or y.max() >= z.shape[1]:
+    # one pass: a negative label wraps to a huge unsigned value
+    if np.count_nonzero(y.astype(np.uint64) >= z.shape[1]):
         raise ValueError("label outside [0, n_classes)")
     batch, n_classes = z.shape
     # flat positions of the label entries, shared by the loss and the gradient

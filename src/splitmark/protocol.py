@@ -34,7 +34,7 @@ import numpy as np
 from .attacks import NoiseSpec, inject_noise
 from .data import Dataset
 from .detect import DetectorState, score_round
-from .linalg import RngStream, StreamLabel, cosine
+from .linalg import NumericalError, RngStream, StreamLabel, cosine
 from .nn import (
     OptimizerConfig,
     Segment,
@@ -52,6 +52,7 @@ from .watermark import (
     WatermarkKey,
     adaptive_clip,
     compose,
+    project,
     verify,
     wm_gradient,
     wm_loss,
@@ -93,8 +94,8 @@ class MessageLog:
     def __init__(self):
         self.messages: list[Message] = []
 
-    def append(self, kind, round_idx, client, batch, shape) -> None:
-        self.messages.append(Message(kind, round_idx, client, batch, tuple(shape)))
+    def append(self, kind, round_idx, client, batch, shape: tuple[int, ...]) -> None:
+        self.messages.append(Message(kind, round_idx, client, batch, shape))
 
     def kinds(self) -> set[MessageKind]:
         return {m.kind for m in self.messages}
@@ -119,6 +120,16 @@ class BatchStats:
 
     main_loss: float
     train_acc: float
+    g_main_norm: float
+    wm_loss: float | None = None
+    g_wm_raw_norm: float | None = None
+    g_wm_clipped_norm: float | None = None
+    cos_main_wm: float | None = None
+
+
+class ReplyStats(NamedTuple):
+    """The server's BatchStats fields for one reply; None without a key."""
+
     g_main_norm: float
     wm_loss: float | None = None
     g_wm_raw_norm: float | None = None
@@ -231,32 +242,43 @@ class ServerWorker:
         watermark gradient is derived from the stored activations, clipped
         against the task gradient, and added; with strength exactly zero
         the reply is the task gradient object itself, so a disabled
-        embedding is bit-identical to the vanilla protocol.
+        embedding is bit-identical to the vanilla protocol. The activations
+        are projected onto the key once, and each gradient norm is taken
+        once; loss, gradient, clip and diagnostics all reuse them.
+
+        Returns the reply and its ReplyStats. A non-finite activation or
+        gradient raises NumericalError before anything is sent.
         """
         if self._tape is None:
             raise ProtocolError("grad_reply called before middle_forward")
         g_main, middle_grads = backward_segment(self.middle, self._tape, g_initial)
         self._opt.step([self.middle], [middle_grads])
         self._tape = None
-        stats = {
-            "g_main_norm": math.sqrt((g_main**2).sum()),
-            "wm_loss": None,
-            "g_wm_raw_norm": None,
-            "g_wm_clipped_norm": None,
-            "cos_main_wm": None,
-        }
+        a, self._activation = self._activation, None
+        main_norm = math.sqrt((g_main**2).sum())
+        if self.key is None:
+            if not math.isfinite(main_norm):
+                raise NumericalError("non-finite task gradient in the server's reply")
+            return g_main, ReplyStats(g_main_norm=main_norm)
+        p = project(a, self.key)
+        g_wm = wm_gradient(p, self.key)
+        wm_norm = math.sqrt((g_wm**2).sum())
+        # A sum of floats is finite only if every addend is. This one test
+        # covers g_main and g_wm, and so the clipped term, which is g_wm
+        # scaled by a factor in [0, 1].
+        if not math.isfinite(main_norm + wm_norm):
+            raise NumericalError("non-finite gradient in the server's reply")
+        g_clipped = adaptive_clip(g_wm, g_main, self.embed, wm_norm, main_norm)
+        stats = ReplyStats(
+            g_main_norm=main_norm,
+            wm_loss=wm_loss(p, self.key),
+            g_wm_raw_norm=wm_norm,
+            g_wm_clipped_norm=math.sqrt((g_clipped**2).sum()),
+            cos_main_wm=cosine(g_main, g_wm),
+        )
         g_final = g_main
-        if self.key is not None:
-            a = self._activation
-            g_wm = wm_gradient(a, self.key)
-            g_clipped = adaptive_clip(g_wm, g_main, self.embed)
-            stats["wm_loss"] = wm_loss(a, self.key)
-            stats["g_wm_raw_norm"] = math.sqrt((g_wm**2).sum())
-            stats["g_wm_clipped_norm"] = math.sqrt((g_clipped**2).sum())
-            stats["cos_main_wm"] = cosine(g_main, g_wm)
-            if self.embed.strength > 0.0:
-                g_final = compose(g_main, g_clipped)
-        self._activation = None
+        if self.embed.strength > 0.0:
+            g_final = compose(g_main, g_clipped)
         return g_final, stats
 
 
@@ -279,12 +301,20 @@ def train_batch(
     log.append(
         MessageKind.INITIAL_GRADIENT, round_idx, client.index, batch_idx, g_initial.shape
     )
-    g_final, server_stats = server.grad_reply(g_initial)
+    g_final, reply = server.grad_reply(g_initial)
     log.append(
         MessageKind.FINAL_GRADIENT, round_idx, client.index, batch_idx, g_final.shape
     )
     client.apply_final(g_final)
-    stats = BatchStats(main_loss=loss, train_acc=acc, **server_stats)
+    stats = BatchStats(
+        main_loss=loss,
+        train_acc=acc,
+        g_main_norm=reply.g_main_norm,
+        wm_loss=reply.wm_loss,
+        g_wm_raw_norm=reply.g_wm_raw_norm,
+        g_wm_clipped_norm=reply.g_wm_clipped_norm,
+        cos_main_wm=reply.cos_main_wm,
+    )
     return stats, g_final
 
 
@@ -295,6 +325,8 @@ def fedavg_segments(segments: list[Segment], weights) -> Segment:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(segments),):
         raise ValueError("one weight per segment is required")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if np.any(w < 0.0) or w.sum() <= 0.0:
         raise ValueError("weights must be non-negative and not all zero")
     w = w / w.sum()

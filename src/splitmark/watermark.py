@@ -12,18 +12,18 @@ and the recovered bits are compared against b.
 The embedding gradient has closed form. With P = A @ M and
 C = (sigmoid(P) - b) / (batch * k), the gradient of the mean BCE with
 respect to A is C @ M^T, so every row lies in the span of M's columns.
+Loss and gradient are both computed from P, which project() forms once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RngStream, as_matrix, gaussian_matrix
+from .linalg import NumericalError, RngStream, as_matrix, gaussian_matrix
 from .nn import Segment, forward_segment
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "VerificationReport",
     "NullCalibration",
     "keygen",
+    "project",
     "wm_loss",
     "wm_gradient",
     "adaptive_clip",
@@ -142,68 +143,80 @@ def _sigmoid(p: np.ndarray) -> np.ndarray:
     return np.where(p >= 0.0, 1.0, e) / (1.0 + e)
 
 
-def _projections(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
-    a = as_matrix(a_flat, "activations")
+def project(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
+    """Validate a batch of activations and return its projections A @ M.
+
+    wm_loss and wm_gradient both take this matrix, so a caller that needs
+    the loss and the gradient checks A and multiplies by M once. Non-finite
+    activations raise NumericalError: training has diverged before the cut.
+    """
+    a = np.asarray(a_flat, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"activations must be 2-D, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("activation batch is empty")
     if a.shape[1] != key.d:
         raise ValueError(
             f"activation width {a.shape[1]} does not match key dimension {key.d}"
         )
+    if not np.isfinite(a).all():
+        raise NumericalError("activations contain non-finite entries")
     return a @ key.m
 
 
-def wm_loss(a_flat: np.ndarray, key: WatermarkKey) -> float:
-    """Mean binary cross-entropy between sigmoid(A @ M) and the key bits.
+def wm_loss(p: np.ndarray, key: WatermarkKey) -> float:
+    """Mean binary cross-entropy between sigmoid(P) and the key bits, where
+    P = project(A, key).
 
     Uses the standard overflow-safe form
     max(p, 0) - p * b + log(1 + exp(-|p|)), averaged over batch and bits.
     """
-    p = _projections(a_flat, key)
     losses = np.maximum(p, 0.0) - p * key.bits + np.log1p(np.exp(-np.abs(p)))
     return float(losses.sum() / losses.size)
 
 
-def wm_gradient(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
-    """Analytic gradient of wm_loss with respect to the activations.
+def wm_gradient(p: np.ndarray, key: WatermarkKey) -> np.ndarray:
+    """Analytic gradient of wm_loss with respect to the activations A, from
+    their projections P = project(A, key).
 
-    Returns (sigmoid(A @ M) - b) / (batch * k) @ M^T; each row is a linear
+    Returns (sigmoid(P) - b) / (batch * k) @ M^T; each row is a linear
     combination of key columns, so the whole tensor lies in span(M).
     """
-    p = _projections(a_flat, key)
     coeff = (_sigmoid(p) - key.bits) / (p.shape[0] * key.k)
     return coeff @ key.m.T
 
 
 def adaptive_clip(
-    g_wm: np.ndarray, g_main: np.ndarray, cfg: EmbedConfig
+    g_wm: np.ndarray,
+    g_main: np.ndarray,
+    cfg: EmbedConfig,
+    wm_norm: float,
+    main_norm: float,
 ) -> np.ndarray:
     """Scale the watermark gradient to at most strength * ||task gradient||.
 
     factor = min(1, strength * ||g_main|| / (||g_wm|| + epsilon)); the
-    gradient is only ever shrunk, never amplified.
+    gradient is only ever shrunk, never amplified. wm_norm and main_norm are
+    the Frobenius norms of g_wm and g_main, which the caller already holds;
+    per_sample mode clips by row norms instead and does not read them.
     """
-    gw = as_matrix(g_wm, "watermark gradient")
-    gm = as_matrix(g_main, "task gradient")
-    if gw.shape != gm.shape:
-        raise ValueError(f"gradient shapes differ: {gw.shape} vs {gm.shape}")
+    if g_wm.shape != g_main.shape:
+        raise ValueError(f"gradient shapes differ: {g_wm.shape} vs {g_main.shape}")
     if cfg.per_sample:
-        wm_norms = np.sqrt((gw**2).sum(axis=1))
-        main_norms = np.sqrt((gm**2).sum(axis=1))
+        wm_norms = np.sqrt((g_wm**2).sum(axis=1))
+        main_norms = np.sqrt((g_main**2).sum(axis=1))
         factor = np.minimum(1.0, cfg.strength * main_norms / (wm_norms + cfg.epsilon))
-        return gw * factor[:, None]
-    wm_norm = math.sqrt((gw**2).sum())
-    main_norm = math.sqrt((gm**2).sum())
+        return g_wm * factor[:, None]
     factor = min(1.0, cfg.strength * main_norm / (wm_norm + cfg.epsilon))
-    return gw * factor
+    return g_wm * factor
 
 
 def compose(g_main: np.ndarray, g_wm_clipped: np.ndarray) -> np.ndarray:
-    gm = as_matrix(g_main, "task gradient")
-    gw = as_matrix(g_wm_clipped, "clipped watermark gradient")
-    if gm.shape != gw.shape:
-        raise ValueError(f"gradient shapes differ: {gm.shape} vs {gw.shape}")
-    return gm + gw
+    if g_main.shape != g_wm_clipped.shape:
+        raise ValueError(
+            f"gradient shapes differ: {g_main.shape} vs {g_wm_clipped.shape}"
+        )
+    return g_main + g_wm_clipped
 
 
 def predict_bits(bottom: Segment, key: WatermarkKey, probes: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ from splitmark.watermark import (
     EmbedConfig,
     calibrate_threshold,
     keygen,
+    project,
     verify,
     wm_gradient,
     wm_loss,
@@ -269,8 +270,8 @@ def test_01_analytic_gradients_match_finite_differences():
         rng = RngStream(seed, StreamLabel.WATERMARK_KEY, (21,))
         key = keygen(rng, 6, 3)
         act = rng.normal(5 * 6).reshape(5, 6)
-        fd = _fd_over_rows(act, lambda: wm_loss(act, key))
-        assert _relative_gap(wm_gradient(act, key), fd) < 1e-5
+        fd = _fd_over_rows(act, lambda: wm_loss(project(act, key), key))
+        assert _relative_gap(wm_gradient(project(act, key), key), fd) < 1e-5
 
         basis = orthonormal_columns(rng.normal(6 * 2).reshape(6, 2))
         weights = 1.0 + rng.uniform(2)
@@ -330,7 +331,7 @@ def test_03_watermark_gradient_rows_stay_in_key_span(wm_runs):
     probe_acts, _ = forward_segment(bottom, probes)
     raw = rng.normal(200 * key.d).reshape(200, key.d)
     for acts in (train_acts, probe_acts, raw):
-        g = wm_gradient(acts, key)
+        g = wm_gradient(project(acts, key), key)
         residual = g - (g @ basis) @ basis.T
         row_norms = np.linalg.norm(g, axis=1)
         keep = row_norms > 0.0

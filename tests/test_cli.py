@@ -137,6 +137,26 @@ def test_divergent_run_exits_numeric(tiny_cfg, tmp_path):
     assert code == EXIT_NUMERIC
 
 
+def test_divergent_keyed_run_exits_numeric(tiny_wm_cfg, tmp_path):
+    import numpy as np
+
+    # the same divergence with the watermark term on: the server's keyed
+    # reply must fail as a numerical error too, not as a crash
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(
+            [
+                "run",
+                "--config",
+                tiny_wm_cfg,
+                "--out",
+                str(tmp_path / "boom"),
+                "--set",
+                "optimizer.weight_decay=1e200",
+            ]
+        )
+    assert code == EXIT_NUMERIC
+
+
 def test_same_seed_runs_are_byte_identical(tiny_wm_cfg, tmp_path, capsys):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     main(["run", "--config", tiny_wm_cfg, "--out", out_a, "--seed", "5"])

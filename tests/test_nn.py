@@ -153,6 +153,14 @@ def test_softmax_rejects_bad_labels():
         softmax_xent(np.zeros((2, 3)), np.array([0, 3]))
 
 
+def test_softmax_label_range_edges():
+    for labels in ([0, -1], np.array([-1, 0], dtype=np.int32), [2, 3], [5, 0]):
+        with pytest.raises(ValueError, match="label outside"):
+            softmax_xent(np.zeros((2, 3)), np.asarray(labels))
+    loss, _ = softmax_xent(np.zeros((2, 3)), np.array([0, 2]))
+    assert np.isclose(loss, np.log(3))
+
+
 def test_sgd_plain_step():
     seg = _segment((LayerSpec(1, 1, "identity"), np.array([[1.0]]), np.zeros(1)))
     opt = SgdOptimizer(lr=1.0)

@@ -1,16 +1,20 @@
 """The four-message split protocol, FedAvg, and the experiment loop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from splitmark.data import PartitionSpec, make_blobs, partition, split_per_class
-from splitmark.linalg import RngStream, StreamLabel
+from splitmark import protocol
+from splitmark.linalg import NumericalError, RngStream, StreamLabel, cosine
 from splitmark.nn import (
     Layer,
     LayerSpec,
     OptimizerConfig,
     Segment,
     SplitSpec,
+    backward_segment,
     forward_segment,
     init_split_model,
     segments_equal,
@@ -26,7 +30,15 @@ from splitmark.protocol import (
     run_experiment,
     train_batch,
 )
-from splitmark.watermark import EmbedConfig, adaptive_clip, keygen, wm_gradient
+from splitmark.watermark import (
+    EmbedConfig,
+    adaptive_clip,
+    compose,
+    keygen,
+    project,
+    wm_gradient,
+    wm_loss,
+)
 from splitmark.attacks import NoiseSpec
 
 
@@ -70,6 +82,10 @@ def test_zero_strength_is_bitwise_vanilla():
         assert ma.test_acc == mb.test_acc
 
 
+def _norm(g):
+    return math.sqrt((g**2).sum())
+
+
 def test_final_gradient_decomposes():
     # Drive a keyed and an unkeyed server over the same batch from
     # identical states; the keyed reply must equal task gradient plus the
@@ -98,8 +114,170 @@ def test_final_gradient_decomposes():
 
     g_main, a = outs["plain"]
     g_keyed, _ = outs["keyed"]
-    expected = g_main + adaptive_clip(wm_gradient(a, key), g_main, embed)
+    g_wm = wm_gradient(project(a, key), key)
+    expected = g_main + adaptive_clip(g_wm, g_main, embed, _norm(g_wm), _norm(g_main))
     assert np.allclose(g_keyed, expected, atol=1e-12)
+
+
+def _server(key=None, embed=None, seed=3):
+    """A server whose round has started from a fresh model, and that model."""
+    model = init_split_model(_spec(), RngStream(seed, StreamLabel.MODEL_INIT))
+    server = ServerWorker(key=key, embed=embed)
+    server.start_round(model.middle, OptimizerConfig())
+    return server, model
+
+
+def _key(seed=3):
+    return keygen(RngStream(seed, StreamLabel.WATERMARK_KEY), _spec().split_dim, 4)
+
+
+@pytest.mark.parametrize(
+    "embed, binds",
+    [
+        (EmbedConfig(strength=0.01), True),
+        (EmbedConfig(strength=1e6), False),
+        (EmbedConfig(strength=0.05, per_sample=True), True),
+        (EmbedConfig(strength=0.0), True),
+    ],
+    ids=["clip-binds", "clip-passes", "per-sample", "strength-0"],
+)
+def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch):
+    # The reply and the five server stats equal, bit for bit, what the
+    # public watermark functions give when each is called on its own.
+    key = _key()
+    server, model = _server(key, embed)
+    d = _spec().split_dim
+    rng = RngStream(3, StreamLabel.DATA, (7,))
+    a = rng.normal(5 * d).reshape(5, d)
+    g_initial = rng.normal(5 * d).reshape(5, d)
+    sent = []
+
+    def recording_backward(*args, **kw):
+        out = backward_segment(*args, **kw)
+        sent.append(out[0])
+        return out
+
+    monkeypatch.setattr(protocol, "backward_segment", recording_backward)
+    server.middle_forward(a)
+    g_final, stats = server.grad_reply(g_initial)
+
+    _, tape = forward_segment(model.middle, a)
+    g_main, _ = backward_segment(model.middle, tape, g_initial)
+    p = project(a, key)
+    g_wm = wm_gradient(p, key)
+    g_clipped = adaptive_clip(g_wm, g_main, embed, _norm(g_wm), _norm(g_main))
+    assert (
+        stats.g_main_norm,
+        stats.wm_loss,
+        stats.g_wm_raw_norm,
+        stats.g_wm_clipped_norm,
+        stats.cos_main_wm,
+    ) == (
+        _norm(g_main),
+        wm_loss(p, key),
+        _norm(g_wm),
+        _norm(g_clipped),
+        cosine(g_main, g_wm),
+    )
+    assert all(type(v) is float for v in stats)
+    assert (stats.g_wm_clipped_norm < stats.g_wm_raw_norm) == binds
+    assert np.array_equal(sent[0], g_main)
+    if embed.strength == 0.0:
+        assert g_final is sent[0]
+    else:
+        assert np.array_equal(g_final, compose(g_main, g_clipped))
+
+
+def test_train_batch_copies_reply_stats_by_name(monkeypatch):
+    # Four of the five server stats are floats of similar size; each must
+    # land in the BatchStats field of the same name.
+    server, model = _server(_key(), EmbedConfig(strength=0.1))
+    reply = protocol.ReplyStats(1.0, 2.0, 3.0, 4.0, 5.0)
+    real_reply = server.grad_reply
+    monkeypatch.setattr(server, "grad_reply", lambda g: (real_reply(g)[0], reply))
+    client = ClientWorker(0)
+    client.start_round(model.bottom, model.head, OptimizerConfig())
+    shards, _ = _shards(3)
+    x, y = shards[0].inputs[:5], shards[0].labels[:5]
+    stats, _ = train_batch(client, server, x, y, MessageLog(), 0, 0)
+    for name in protocol.ReplyStats._fields:
+        assert getattr(stats, name) == getattr(reply, name), name
+
+
+_BENCH_SPANS = ("project", "wm_loss", "wm_gradient", "adaptive_clip", "compose", "cosine")
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+def test_each_watermark_span_runs_once_per_keyed_batch(keyed, monkeypatch):
+    # The benchmark traces these names where protocol binds them; a keyed
+    # batch must call each exactly once and an unkeyed batch none of them.
+    counts = dict.fromkeys(_BENCH_SPANS, 0)
+    for name in _BENCH_SPANS:
+
+        def counted(*args, _name=name, _original=getattr(protocol, name), **kw):
+            counts[_name] += 1
+            return _original(*args, **kw)
+
+        monkeypatch.setattr(protocol, name, counted)
+    server, model = _server(*((_key(), EmbedConfig(strength=0.1)) if keyed else ()))
+    client = ClientWorker(0)
+    client.start_round(model.bottom, model.head, OptimizerConfig())
+    shards, _ = _shards(3)
+    x, y = shards[0].inputs[:5], shards[0].labels[:5]
+    stats, _ = train_batch(client, server, x, y, MessageLog(), 0, 0)
+    assert counts == dict.fromkeys(_BENCH_SPANS, 1 if keyed else 0)
+    assert (stats.wm_loss is not None) == keyed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_keyed_server_rejects_non_finite_activations(bad):
+    key = _key()
+    server, _ = _server(key, EmbedConfig(strength=0.1))
+    d = _spec().split_dim
+    a = np.ones((5, d))
+    a[2, 3] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        server.middle_forward(a)
+        with pytest.raises(NumericalError):
+            server.grad_reply(np.ones((5, d)))
+    with pytest.raises(NumericalError):
+        project(a, key)
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+def test_server_rejects_non_finite_task_gradient(keyed):
+    # An overflowed middle weight leaves the middle's own parameter
+    # gradients finite but makes the task gradient at the cut non-finite;
+    # the reply must stop there, keyed or not.
+    server, _ = _server(*((_key(), EmbedConfig(strength=0.1)) if keyed else ()))
+    server.middle.layers[0].w[1, 2] = np.inf
+    d = _spec().split_dim
+    a = np.abs(RngStream(3, StreamLabel.DATA, (8,)).normal(5 * d)).reshape(5, d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        server.middle_forward(a)
+        with pytest.raises(NumericalError, match="server's reply"):
+            server.grad_reply(np.ones((5, d)))
+
+
+def test_server_rejects_task_gradient_whose_norm_overflows(monkeypatch):
+    # A finite task gradient with an entry of 1e200 squares past the float
+    # range; the unkeyed reply stops there instead of reaching the client.
+    server, _ = _server()
+    d = _spec().split_dim
+    sent = []
+
+    def huge_backward(*args, **kw):
+        g_main, grads = backward_segment(*args, **kw)
+        g_main = g_main.copy()
+        g_main[1, 2] = 1e200
+        sent.append(g_main)
+        return g_main, grads
+
+    monkeypatch.setattr(protocol, "backward_segment", huge_backward)
+    server.middle_forward(np.ones((5, d)))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="server's reply"):
+        server.grad_reply(np.ones((5, d)))
+    assert np.isfinite(sent[0]).all()
 
 
 def test_fedavg_single_model_unchanged():
@@ -130,6 +308,13 @@ def test_fedavg_validation():
         fedavg_segments([a, a.copy()], [1.0])
     with pytest.raises(ValueError):
         fedavg_segments([a, a.copy()], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fedavg_rejects_non_finite_weights(bad):
+    a = Segment([Layer(LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1))])
+    with pytest.raises(ValueError, match="finite"):
+        fedavg_segments([a, a.copy()], [bad, 1.0])
 
 
 def test_fedavg_is_bitwise_the_per_layer_weighted_sum():
