@@ -251,7 +251,7 @@ class AdaptiveAttackConfig:
                 raise ValueError(f"{name} must be a non-empty [start, stop) range")
         if self.n_main < 1 or self.k_prime < 1:
             raise ValueError("n_main and k_prime must be >= 1")
-        if self.gamma < 0.0 or self.ft_steps < 0 or self.ft_lr < 0.0:
+        if not (self.gamma >= 0.0 and self.ft_steps >= 0 and self.ft_lr >= 0.0):
             raise ValueError("gamma, ft_steps, ft_lr must be >= 0")
 
 

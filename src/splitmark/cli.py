@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import Config, ConfigError, load_config, parse_override
+from .config import ATTACK_KINDS, Config, ConfigError, load_config, parse_override
 from .linalg import NumericalError, RngStream, StreamLabel
 from .nn import load_model
 from .runner import build_data, build_shards, execute_calibration, execute_run, run_attacks
@@ -38,6 +38,12 @@ def preset_names() -> list[str]:
     )
 
 
+def _cfg_files(root: str) -> list[str]:
+    return sorted(
+        os.path.join(root, fn) for fn in os.listdir(root) if fn.endswith(".cfg")
+    )
+
+
 def preset_configs(name: str) -> list[str]:
     """Return config paths for a preset; `name` may be a bare preset or
     `preset/member` to select one config out of it."""
@@ -48,9 +54,7 @@ def preset_configs(name: str) -> list[str]:
     if not os.path.isdir(root):
         known = ", ".join(preset_names()) or "none installed"
         raise ConfigError(f"unknown preset {name!r} (available: {known})")
-    paths = sorted(
-        os.path.join(root, fn) for fn in os.listdir(root) if fn.endswith(".cfg")
-    )
+    paths = _cfg_files(root)
     if member is not None:
         want = member if member.endswith(".cfg") else member + ".cfg"
         hits = [p for p in paths if os.path.basename(p) == want]
@@ -131,11 +135,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.config_dir:
         if not os.path.isdir(args.config_dir):
             raise ConfigError(f"not a directory: {args.config_dir}")
-        paths = sorted(
-            os.path.join(args.config_dir, fn)
-            for fn in os.listdir(args.config_dir)
-            if fn.endswith(".cfg")
-        )
+        paths = _cfg_files(args.config_dir)
         if not paths:
             raise ConfigError(f"no .cfg files in {args.config_dir}")
     else:
@@ -144,9 +144,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return _run_paths(paths, out, _collect_overrides(args), subdirs=True)
 
 
+def _load_artifact(load, path: str):
+    """Read a checkpoint or key file; a file that fails its format or
+    checksum check is a bad argument, named in one line."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    key = load_key(args.key)
+    if args.probes < 1:
+        raise ConfigError(f"--probes must be >= 1, got {args.probes}")
+    if not 0.0 <= args.tau <= 1.0:
+        raise ConfigError(f"--tau must lie in [0, 1], got {args.tau}")
+    model = _load_artifact(load_model, args.model)
+    key = _load_artifact(load_key, args.key)
     rng = RngStream(args.seed, StreamLabel.VERIFICATION, (2,))
     report = verify(model.bottom, key, rng, n_samples=args.probes, tau=args.tau)
     doc = {
@@ -189,8 +202,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
             "during training, so it only runs inside `run`; list it in "
             "attack.kinds of a run config instead"
         )
-    model = load_model(args.model)
-    key = load_key(args.key) if args.key else None
+    model = _load_artifact(load_model, args.model)
+    key = _load_artifact(load_key, args.key) if args.key else None
     train, test = build_data(cfg)
     shards = build_shards(cfg, train)
     results = run_attacks(cfg, model, {}, key, shards, test)
@@ -258,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atk.add_argument(
         "--kind",
         action="append",
-        choices=("finetune", "prune", "quantize"),
+        choices=ATTACK_KINDS,
         help="attack to apply (repeatable; defaults to config attack.kinds)",
     )
     p_atk.set_defaults(func=cmd_attack)

@@ -23,7 +23,6 @@ __all__ = [
     "parse_config",
     "parse_override",
     "load_config",
-    "dump_config",
 ]
 
 ATTACK_KINDS = ("finetune", "prune", "quantize", "adaptive")
@@ -71,17 +70,7 @@ _PARSERS = {
 }
 
 
-def _fmt(kind: str, value) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind in ("ints", "floats", "strs"):
-        return ",".join(repr(v) if kind == "floats" else str(v) for v in value)
-    if kind == "float":
-        return repr(value)
-    return str(value)
-
-
-# name -> (type keyword, default). Order here is the canonical dump order.
+# name -> (type keyword, default).
 SCHEMA: dict[str, tuple[str, object]] = {
     "run.seed": ("int", 0),
     "run.rounds": ("int", 30),
@@ -166,13 +155,11 @@ class Config:
         )
 
     def protocol(self) -> ProtocolConfig:
-        opt = self.optimizer()
         return ProtocolConfig(
             n_rounds=self["run.rounds"],
             local_epochs=self["run.local_epochs"],
             batch_size=self["run.batch_size"],
-            client_opt=opt,
-            server_opt=opt,
+            opt=self.optimizer(),
             probe_samples=self["run.probe_samples"],
         )
 
@@ -333,6 +320,11 @@ def _validate(v: dict) -> None:
     check(v["attack.early_rows"] >= 0, "attack.early_rows must be >= 0 (0 = all)")
     check(v["attack.n_main"] >= 1, "attack.n_main must be >= 1")
     check(v["attack.k_prime"] >= 1, "attack.k_prime must be >= 1")
+    if adaptive and 1 <= v["model.split"] < len(widths):
+        # the attack's PCA bases live in the split activations
+        split_width = widths[v["model.split"] - 1]
+        for name in ("attack.n_main", "attack.k_prime"):
+            check(v[name] <= split_width, f"{name} exceeds the split width {split_width}")
     check(v["attack.gamma"] >= 0.0, "attack.gamma must be >= 0")
     check(v["attack.ft_steps"] >= 0, "attack.ft_steps must be >= 0")
     check(v["attack.ft_lr"] >= 0.0, "attack.ft_lr must be >= 0")
@@ -344,7 +336,7 @@ def _validate(v: dict) -> None:
     check(v["calibrate.keys"] >= 10, "calibrate.keys must be >= 10")
     check(v["calibrate.models"] >= 2, "calibrate.models must be >= 2")
 
-    if "adaptive" in v["attack.kinds"] and not v["embed.enabled"]:
+    if adaptive and not v["embed.enabled"]:
         bad.append("attack.kinds includes 'adaptive' but embed.enabled is false")
 
     if bad:
@@ -354,9 +346,3 @@ def _validate(v: dict) -> None:
 def load_config(path: str, overrides: dict | None = None) -> Config:
     with open(path, "r", encoding="ascii") as fh:
         return parse_config(fh.read(), overrides)
-
-
-def dump_config(cfg: Config) -> str:
-    """Canonical text form; load(dump(cfg)) reproduces cfg exactly."""
-    lines = [f"{key} = {_fmt(kind, cfg.values[key])}" for key, (kind, _) in SCHEMA.items()]
-    return "\n".join(lines) + "\n"

@@ -3,8 +3,9 @@
 Blob datasets place one Gaussian cluster per class, with class means drawn
 on a hypersphere of fixed radius so class separation is controlled by the
 spread/radius ratio. Partitioners split a dataset into per-client shards
-three ways: IID (round-robin deal after a seeded shuffle), Dirichlet
-label skew, and log-normal size imbalance with class-stratified content.
+three ways, each by per-class proportions after a seeded shuffle: IID
+(equal proportions), Dirichlet label skew, and log-normal size imbalance
+with class-stratified content.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.inputs.shape[1]
-
     def subset(self, idx: np.ndarray) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
         return Dataset(self.inputs[idx], self.labels[idx], self.n_classes)
@@ -69,7 +66,7 @@ def make_blobs(
             f"need n_per_class >= 1, n_classes >= 2, input_dim >= 1; "
             f"got {n_per_class}, {n_classes}, {input_dim}"
         )
-    if spread < 0.0 or radius <= 0.0:
+    if not (spread >= 0.0 and radius > 0.0):
         raise ValueError("spread must be >= 0 and radius > 0")
     means = rng.normal(n_classes * input_dim).reshape(n_classes, input_dim)
     means /= np.sqrt((means**2).sum(axis=1, keepdims=True))
@@ -123,9 +120,9 @@ class PartitionSpec:
             raise ValueError(
                 f"unknown partition mode {self.mode!r}, expected one of {PARTITION_MODES}"
             )
-        if self.mode == "dirichlet" and self.beta <= 0.0:
+        if self.mode == "dirichlet" and not self.beta > 0.0:
             raise ValueError("dirichlet beta must be positive")
-        if self.mode == "unbalanced" and self.sigma < 0.0:
+        if self.mode == "unbalanced" and not self.sigma >= 0.0:
             raise ValueError("unbalanced sigma must be >= 0")
 
 
@@ -169,27 +166,13 @@ def partition(ds: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
         )
     rng = RngStream(spec.seed, StreamLabel.DATA, (1,))
     class_members = [np.flatnonzero(ds.labels == c) for c in range(ds.n_classes)]
-    if spec.mode == "iid":
-        # Stratified: every client receives an equal (+-1) cut of every
-        # class, so shard label distributions match the global one.
-        uniform = np.full(spec.n_clients, 1.0 / spec.n_clients)
-        shards: list[list[np.ndarray]] = [[] for _ in range(spec.n_clients)]
-        totals = np.zeros(spec.n_clients, dtype=np.int64)
-        for members in class_members:
-            if len(members) == 0:
-                continue
-            shuffled = members[rng.permutation(len(members))]
-            for i, part in enumerate(
-                _allocate_by_proportion(shuffled, uniform, totals)
-            ):
-                shards[i].append(part)
-        return [
-            np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-            for parts in shards
-        ]
-
     for _ in range(_MAX_DRAWS):
-        if spec.mode == "dirichlet":
+        if spec.mode == "iid":
+            # Stratified: every client receives an equal (+-1) cut of every
+            # class, so shard label distributions match the global one.
+            uniform = np.full(spec.n_clients, 1.0 / spec.n_clients)
+            per_class_props = [uniform for _ in class_members]
+        elif spec.mode == "dirichlet":
             per_class_props = [
                 rng.dirichlet(spec.beta, spec.n_clients) for _ in class_members
             ]
@@ -224,27 +207,3 @@ def label_entropy(ds: Dataset, shard_idx: np.ndarray) -> float:
     counts = np.bincount(labels, minlength=ds.n_classes).astype(np.float64)
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())
-
-
-def dump_csv(ds: Dataset, path: str) -> None:
-    """Debug dump: one row per sample, feature values then the label."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for x, y in zip(ds.inputs, ds.labels):
-            fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
-
-
-def load_csv(path: str) -> Dataset:
-    rows = []
-    labels = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            rows.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
-    if not rows:
-        raise ValueError(f"{path} contains no samples")
-    labels_arr = np.array(labels, dtype=np.int64)
-    return Dataset(np.array(rows), labels_arr, int(labels_arr.max()) + 1)

@@ -314,13 +314,6 @@ class SplitModel:
         self.middle = middle
         self.head = head
 
-    @property
-    def split_dim(self) -> int:
-        return self.bottom.out_dim
-
-    def copy(self) -> "SplitModel":
-        return SplitModel(self.bottom.copy(), self.middle.copy(), self.head.copy())
-
 
 def init_split_model(spec: SplitSpec, rng: RngStream) -> SplitModel:
     return SplitModel(
@@ -351,8 +344,10 @@ class SgdOptimizer:
     """
 
     def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
-        if lr < 0.0 or momentum < 0.0 or weight_decay < 0.0:
-            raise ValueError("optimizer hyperparameters must be non-negative")
+        if not (lr >= 0.0 and 0.0 <= momentum < 1.0 and weight_decay >= 0.0):
+            raise ValueError(
+                "optimizer needs lr >= 0, momentum in [0, 1) and weight_decay >= 0"
+            )
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -455,7 +450,7 @@ def load_model(path: str) -> SplitModel:
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path} is not a {_MAGIC} checkpoint")
+        raise ValueError(f"not a {_MAGIC} checkpoint")
     pos = 1
     seg_specs: dict[str, list[LayerSpec]] = {}
     for _ in range(3):
@@ -491,7 +486,3 @@ def load_model(path: str) -> SplitModel:
         segments[name] = Segment(layers)
     return SplitModel(segments["bottom"], segments["middle"], segments["head"])
 
-
-def segments_equal(a: Segment, b: Segment) -> bool:
-    """Exact (bitwise) parameter equality between two segments."""
-    return a.specs() == b.specs() and np.array_equal(a.params, b.params)

@@ -346,8 +346,7 @@ class ProtocolConfig:
     n_rounds: int
     local_epochs: int = 2
     batch_size: int = 25
-    client_opt: OptimizerConfig = OptimizerConfig()
-    server_opt: OptimizerConfig = OptimizerConfig()
+    opt: OptimizerConfig = OptimizerConfig()
     probe_samples: int = 64
     attacker_client: int = 0
     detector_client: int = 0
@@ -467,8 +466,8 @@ def run_experiment(
         grad_log_rows: list[np.ndarray] = []
         detector_rows: list[np.ndarray] = []
         for ci, client in enumerate(clients):
-            client.start_round(model.bottom, model.head, cfg.client_opt)
-            server.start_round(model.middle, cfg.server_opt)
+            client.start_round(model.bottom, model.head, cfg.opt)
+            server.start_round(model.middle, cfg.opt)
             shard = shards[ci]
             batch_idx = 0
             for _ in range(cfg.local_epochs):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .data import Dataset, make_blobs, partition, split_per_class
 from .detect import build_reference
 from .linalg import RngStream, StreamLabel
 from .nn import SplitModel, accuracy, forward_full, forward_segment, save_model
-from .protocol import RunResult, run_experiment
+from .protocol import RoundMetrics, RunResult, run_experiment
 from .watermark import (
     WatermarkKey,
     calibrate_threshold,
@@ -44,18 +45,8 @@ __all__ = [
     "run_attacks",
 ]
 
-METRIC_COLUMNS = (
-    "round",
-    "main_loss",
-    "g_main_norm",
-    "train_acc",
-    "test_acc",
-    "wm_loss",
-    "g_wm_norm",
-    "cos_main_wm",
-    "wsr_probe",
-    "outliers",
-)
+# The RoundMetrics fields in order, with round_idx written as "round".
+METRIC_COLUMNS = ("round", *(f.name for f in fields(RoundMetrics)[1:]))
 
 
 def build_data(cfg: Config) -> tuple[Dataset, Dataset]:
@@ -88,19 +79,7 @@ def _fmt_cell(value) -> str:
 def write_metrics_csv(res: RunResult, path: str) -> None:
     lines = [",".join(METRIC_COLUMNS)]
     for m in res.metrics:
-        row = (
-            m.round_idx,
-            m.main_loss,
-            m.g_main_norm,
-            m.train_acc,
-            m.test_acc,
-            m.wm_loss,
-            m.g_wm_norm,
-            m.cos_main_wm,
-            m.wsr_probe,
-            m.outliers,
-        )
-        lines.append(",".join(_fmt_cell(c) for c in row))
+        lines.append(",".join(_fmt_cell(c) for c in astuple(m)))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -159,6 +138,11 @@ def run_attacks(
 
     pre_wsr = wsr_of(model.bottom)
     out: list[dict] = []
+    # kind -> (attack on the bottom, record field, config key of its values)
+    sweeps = {
+        "prune": (prune, "ratio", "attack.prune_ratios"),
+        "quantize": (quantize, "scheme", "attack.quant_schemes"),
+    }
 
     for kind in cfg["attack.kinds"]:
         if kind == "finetune":
@@ -183,38 +167,6 @@ def run_attacks(
                     "post_wsr": wsr_of(nb),
                 }
             )
-        elif kind == "prune":
-            for ratio in cfg["attack.prune_ratios"]:
-                nb = prune(model.bottom, ratio)
-                attacked = SplitModel(nb, model.middle, model.head)
-                out.append(
-                    {
-                        "name": "prune",
-                        "ratio": ratio,
-                        "pre_acc": pre_acc,
-                        "post_acc": accuracy(
-                            forward_full(attacked, test.inputs), test.labels
-                        ),
-                        "pre_wsr": pre_wsr,
-                        "post_wsr": wsr_of(nb),
-                    }
-                )
-        elif kind == "quantize":
-            for scheme in cfg["attack.quant_schemes"]:
-                nb = quantize(model.bottom, scheme)
-                attacked = SplitModel(nb, model.middle, model.head)
-                out.append(
-                    {
-                        "name": "quantize",
-                        "scheme": scheme,
-                        "pre_acc": pre_acc,
-                        "post_acc": accuracy(
-                            forward_full(attacked, test.inputs), test.labels
-                        ),
-                        "pre_wsr": pre_wsr,
-                        "post_wsr": wsr_of(nb),
-                    }
-                )
         elif kind == "adaptive":
             atk = cfg.adaptive_attack()
             early = np.vstack([grad_rounds[t] for t in range(*atk.rounds_early)])
@@ -241,7 +193,22 @@ def run_attacks(
                 }
             )
         else:
-            raise ValueError(f"unknown attack kind {kind!r}")
+            attack, field, values_key = sweeps[kind]
+            for value in cfg[values_key]:
+                nb = attack(model.bottom, value)
+                attacked = SplitModel(nb, model.middle, model.head)
+                out.append(
+                    {
+                        "name": kind,
+                        field: value,
+                        "pre_acc": pre_acc,
+                        "post_acc": accuracy(
+                            forward_full(attacked, test.inputs), test.labels
+                        ),
+                        "pre_wsr": pre_wsr,
+                        "post_wsr": wsr_of(nb),
+                    }
+                )
     return out
 
 

@@ -90,9 +90,9 @@ class EmbedConfig:
     per_sample: bool = False
 
     def __post_init__(self):
-        if self.strength < 0.0:
+        if not self.strength >= 0.0:
             raise ValueError(f"strength must be >= 0, got {self.strength}")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
@@ -328,7 +328,7 @@ def load_key(path: str) -> WatermarkKey:
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != _KEY_MAGIC:
-        raise ValueError(f"{path} is not a {_KEY_MAGIC} file")
+        raise ValueError(f"not a {_KEY_MAGIC} file")
     if not lines[-1].startswith("checksum "):
         raise ValueError("key file is missing its checksum line")
     body = "\n".join(lines[:-1])

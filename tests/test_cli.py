@@ -13,7 +13,10 @@ from splitmark.cli import (
     preset_configs,
     preset_names,
 )
-from splitmark.config import ConfigError
+from splitmark.config import ConfigError, load_config
+from splitmark.linalg import RngStream, StreamLabel
+from splitmark.nn import init_split_model, save_model
+from splitmark.watermark import keygen, save_key
 
 TINY = """
 run.rounds = 2
@@ -95,11 +98,38 @@ def test_verify_roundtrip_on_saved_run(tiny_wm_cfg, tmp_path, capsys):
     assert doc["tau"] == 0.6
 
 
-def test_verify_missing_files_exit_config(tmp_path):
+def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
     code = main(
         ["verify", "--model", str(tmp_path / "no.ckpt"), "--key", str(tmp_path / "no.key")]
     )
     assert code == EXIT_CONFIG
+    # Out-of-range flags and files that fail their magic or checksum check
+    # are bad arguments too: exit 2 with one line naming the flag or file.
+    spec = load_config(tiny_cfg).split_spec()
+    model = str(tmp_path / "model.ckpt")
+    key = tmp_path / "key.txt"
+    save_model(init_split_model(spec, RngStream(0, StreamLabel.MODEL_INIT)), model)
+    save_key(keygen(RngStream(0, StreamLabel.WATERMARK_KEY), spec.split_dim, 4), str(key))
+    garbage = tmp_path / "garbage"
+    garbage.write_text("not an artifact\n")
+    tampered = tmp_path / "tampered.txt"
+    tampered.write_text(key.read_text().replace("\nseed ", "\nseed 1", 1))
+    verify = ["verify", "--model", model, "--key", str(key)]
+    attack = ["attack", "--config", tiny_cfg, "--kind", "prune"]
+    cases = [
+        (verify + ["--probes", "0"], "--probes"),
+        (verify + ["--tau", "2"], "--tau"),
+        (["verify", "--model", str(garbage), "--key", str(key)], str(garbage)),
+        (["verify", "--model", model, "--key", str(tampered)], str(tampered)),
+        (attack + ["--model", str(garbage)], str(garbage)),
+        (attack + ["--model", model, "--key", str(tampered)], str(tampered)),
+    ]
+    capsys.readouterr()
+    for argv, named in cases:
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and len(err.strip().splitlines()) == 1
+    assert main(verify) == EXIT_OK
 
 
 def test_run_argument_validation(tiny_cfg, tmp_path):
@@ -219,6 +249,7 @@ def test_attack_command_rejects_adaptive_and_empty(tiny_wm_cfg, tmp_path):
     assert (
         main(args + ["--set", "attack.kinds=adaptive"]) == EXIT_CONFIG
     )  # adaptive only lives inside `run`
+    assert main(args + ["--kind", "adaptive"]) == EXIT_CONFIG
 
 
 def test_sweep_runs_each_config_into_subdirs(tiny_cfg, tmp_path, capsys):

@@ -2,13 +2,14 @@
 
 import pytest
 
-from splitmark.attacks import QUANT_SCHEMES
+from splitmark.attacks import QUANT_SCHEMES, AdaptiveAttackConfig
 from splitmark.data import PartitionSpec
+from splitmark.nn import OptimizerConfig
+from splitmark.watermark import EmbedConfig
 from splitmark.config import (
     SCHEMA,
     Config,
     ConfigError,
-    dump_config,
     load_config,
     parse_config,
     parse_override,
@@ -49,19 +50,6 @@ def test_comments_and_blanks_ignored():
         "run.rounds = 7  # trailing comment\n"
     )
     assert cfg["run.rounds"] == 7
-
-
-def test_dump_then_parse_round_trips():
-    cfg = parse_config(
-        "embed.enabled = true\n"
-        "embed.strength = 0.003\n"
-        "embed.epsilon = 1e-12\n"
-        "model.widths = 256,256,256\n"
-        "attack.kinds = finetune, prune\n"
-    )
-    again = parse_config(dump_config(cfg))
-    assert again.values == cfg.values
-    assert parse_config(dump_config(again)).values == cfg.values
 
 
 def test_unknown_key_reports_line_number():
@@ -116,6 +104,15 @@ def test_cross_field_checks():
         )
     # the window bound only binds an adaptive run; short clean runs are fine
     parse_config("run.rounds = 10\nattack.rounds_late = 5, 20\n")
+    # the subspace sizes are bounded by the split width, again only when adaptive
+    wide = "model.widths = 16, 8\nmodel.split = 1\n"
+    for name in ("attack.n_main", "attack.k_prime"):
+        with pytest.raises(ConfigError, match=rf"{name}.*split width 16"):
+            parse_config(
+                wide + f"{name} = 17\nattack.kinds = adaptive\nembed.enabled = true\n"
+            )
+        parse_config(wide + f"{name} = 16\nattack.kinds = adaptive\nembed.enabled = true\n")
+        parse_config(wide + f"{name} = 100000\n")
     with pytest.raises(ConfigError, match="adaptive.*embed"):
         parse_config("attack.kinds = adaptive\n")
     parse_config("attack.kinds = adaptive\nembed.enabled = true\n")
@@ -130,18 +127,46 @@ def test_partition_mode_and_attack_kind_vocabulary():
         parse_config("attack.quant_schemes = int2\n")
 
 
-@pytest.mark.parametrize("sigma, accepted", [(-1.0, False), (0.0, True), (1.0, True)])
-def test_partition_sigma_bound_agrees_with_the_library(sigma, accepted):
+_NAN = float("nan")
+
+# config key -> the library object that must accept and reject alike
+_LIBRARY = {
+    "partition.sigma": lambda v: PartitionSpec(4, "unbalanced", sigma=v),
+    "partition.beta": lambda v: PartitionSpec(4, "dirichlet", beta=v),
+    "embed.strength": lambda v: EmbedConfig(strength=v),
+    "embed.epsilon": lambda v: EmbedConfig(strength=0.1, epsilon=v),
+    "attack.gamma": lambda v: AdaptiveAttackConfig(gamma=v),
+    "optimizer.momentum": lambda v: OptimizerConfig(momentum=v).build(),
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, accepted",
+    [
+        pytest.param("partition.sigma", -1.0, False, id="-1.0-False"),
+        pytest.param("partition.sigma", 0.0, True, id="0.0-True"),
+        pytest.param("partition.sigma", 1.0, True, id="1.0-True"),
+        ("partition.sigma", _NAN, False),
+        ("partition.beta", _NAN, False),
+        ("embed.strength", _NAN, False),
+        ("embed.epsilon", _NAN, False),
+        ("attack.gamma", _NAN, False),
+        ("optimizer.momentum", _NAN, False),
+        ("optimizer.momentum", 1.5, False),
+        ("optimizer.momentum", 0.9, True),
+    ],
+)
+def test_partition_sigma_bound_agrees_with_the_library(key, value, accepted):
     def library_accepts():
         try:
-            PartitionSpec(4, "unbalanced", sigma=sigma)
+            _LIBRARY[key](value)
         except ValueError:
             return False
         return True
 
     def config_accepts():
         try:
-            parse_config(f"partition.mode = unbalanced\npartition.sigma = {sigma}\n")
+            parse_config(f"{key} = {value}\n")
         except ConfigError:
             return False
         return True

@@ -1,14 +1,14 @@
 """Synthetic blobs and federated partitioners."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from splitmark.data import (
     Dataset,
     PartitionSpec,
-    dump_csv,
     label_entropy,
-    load_csv,
     make_blobs,
     partition,
     split_per_class,
@@ -155,14 +155,24 @@ def test_partition_same_seed_identical():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_csv_roundtrip(tmp_path):
-    ds = _blobs(n=10, classes=2, dim=3)
-    path = tmp_path / "ds.csv"
-    dump_csv(ds, str(path))
-    clone = load_csv(str(path))
-    assert np.allclose(clone.inputs, ds.inputs)
-    assert np.array_equal(clone.labels, ds.labels)
-    assert clone.n_classes == ds.n_classes
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("iid", "4fab575cfc8b2f411f9304a70e5be4f930aea502b93a3796697a07f3272efde9"),
+        ("dirichlet", "911180e1baa3847c4a62a4cf8df3f4f8318b8c965a4c64f630db6e217b398b92"),
+        ("unbalanced", "37d3c9add3b325749c896ef048abde7ee3ab5de21c3f174571fc38c4838cfd3e"),
+    ],
+)
+def test_partition_output_is_frozen(mode, digest):
+    # sha256 over every shard's int64 indices, for seeds 0-5 and 1 / 3 / 7 /
+    # 10 clients: a rewrite of partition must reproduce its exact output.
+    ds = _blobs(n=30, classes=4, dim=3)
+    h = hashlib.sha256()
+    for seed in range(6):
+        for n_clients in (1, 3, 7, 10):
+            for idx in partition(ds, PartitionSpec(n_clients, mode, seed=seed)):
+                h.update(idx.astype(np.int64).tobytes() + b"|")
+    assert h.hexdigest() == digest
 
 
 def test_subset_makes_copies():

@@ -20,9 +20,10 @@ from splitmark.nn import (
     init_split_model,
     load_model,
     save_model,
-    segments_equal,
     softmax_xent,
 )
+
+from helpers import segments_equal
 
 
 def _segment(*layers):

@@ -17,7 +17,6 @@ from splitmark.nn import (
     backward_segment,
     forward_segment,
     init_split_model,
-    segments_equal,
 )
 from splitmark.protocol import (
     ClientWorker,
@@ -40,6 +39,8 @@ from splitmark.watermark import (
     wm_loss,
 )
 from splitmark.attacks import NoiseSpec
+
+from helpers import segments_equal
 
 
 def _spec(width=8, classes=3, in_dim=4):
