@@ -153,13 +153,27 @@ def _load_artifact(load, path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _load_model_and_key(model_path: str, key_path: str | None):
+    """Load a checkpoint and, if given, a key file whose width must match
+    the checkpoint's split width."""
+    model = _load_artifact(load_model, model_path)
+    if key_path is None:
+        return model, None
+    key = _load_artifact(load_key, key_path)
+    if key.d != model.bottom.out_dim:
+        raise ConfigError(
+            f"{key_path}: key width {key.d} does not match the split width "
+            f"{model.bottom.out_dim} of {model_path}"
+        )
+    return model, key
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.probes < 1:
         raise ConfigError(f"--probes must be >= 1, got {args.probes}")
     if not 0.0 <= args.tau <= 1.0:
         raise ConfigError(f"--tau must lie in [0, 1], got {args.tau}")
-    model = _load_artifact(load_model, args.model)
-    key = _load_artifact(load_key, args.key)
+    model, key = _load_model_and_key(args.model, args.key)
     rng = RngStream(args.seed, StreamLabel.VERIFICATION, (2,))
     report = verify(model.bottom, key, rng, n_samples=args.probes, tau=args.tau)
     doc = {
@@ -202,8 +216,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
             "during training, so it only runs inside `run`; list it in "
             "attack.kinds of a run config instead"
         )
-    model = _load_artifact(load_model, args.model)
-    key = _load_artifact(load_key, args.key) if args.key else None
+    model, key = _load_model_and_key(args.model, args.key)
+    dims = (model.bottom.in_dim, model.head.out_dim)
+    if dims != (cfg["data.input_dim"], cfg["data.classes"]):
+        raise ConfigError(
+            f"{args.model}: input width and classes {dims} do not match "
+            f"data.input_dim = {cfg['data.input_dim']} and data.classes = "
+            f"{cfg['data.classes']} of {paths[0]}"
+        )
     train, test = build_data(cfg)
     shards = build_shards(cfg, train)
     results = run_attacks(cfg, model, {}, key, shards, test)

@@ -97,7 +97,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "embed.strength": ("float", 0.1),
     "embed.bits": ("int", 16),
     "embed.epsilon": ("float", 1e-12),
-    "embed.per_sample": ("bool", False),
     "verify.probes": ("int", 256),
     "verify.tau": ("float", 0.7),
     "noise.enabled": ("bool", False),
@@ -178,7 +177,6 @@ class Config:
         return EmbedConfig(
             strength=self["embed.strength"],
             epsilon=self["embed.epsilon"],
-            per_sample=self["embed.per_sample"],
         )
 
     def noise(self) -> NoiseSpec | None:
@@ -325,6 +323,13 @@ def _validate(v: dict) -> None:
         split_width = widths[v["model.split"] - 1]
         for name in ("attack.n_main", "attack.k_prime"):
             check(v[name] <= split_width, f"{name} exceeds the split width {split_width}")
+    if adaptive:
+        # the capped early window feeds a k_prime-component PCA
+        rows = v["attack.early_rows"]
+        check(
+            rows == 0 or rows >= max(2, v["attack.k_prime"]),
+            "attack.early_rows must be 0 or at least max(2, attack.k_prime)",
+        )
     check(v["attack.gamma"] >= 0.0, "attack.gamma must be >= 0")
     check(v["attack.ft_steps"] >= 0, "attack.ft_steps must be >= 0")
     check(v["attack.ft_lr"] >= 0.0, "attack.ft_lr must be >= 0")

@@ -12,6 +12,7 @@ are exact up to float64 rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,47 +36,16 @@ class LayerSpec:
             )
 
 
-class Layer:
+class Layer(NamedTuple):
     """Affine map y = act(x @ w + b) with w of shape (in_dim, out_dim).
 
-    Inside a Segment, w and b are views into the segment's flat parameter
-    buffer. Assigning to w or b copies the values into that storage, so
-    the buffer and the layer never disagree.
+    w and b are views into the owning segment's flat parameter buffer;
+    write through them (layer.w[...] = ...) to change the segment.
     """
 
-    __slots__ = ("spec", "_w", "_b")
-
-    def __init__(self, spec: LayerSpec, w: np.ndarray, b: np.ndarray):
-        if w.shape != (spec.in_dim, spec.out_dim) or b.shape != (spec.out_dim,):
-            raise ValueError(
-                f"parameter shapes {w.shape}/{b.shape} do not match {spec}"
-            )
-        self.spec = spec
-        self._w = np.asarray(w, dtype=np.float64)
-        self._b = np.asarray(b, dtype=np.float64)
-
-    @property
-    def w(self) -> np.ndarray:
-        return self._w
-
-    @w.setter
-    def w(self, value) -> None:
-        _assign(self._w, value, "w")
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._b
-
-    @b.setter
-    def b(self, value) -> None:
-        _assign(self._b, value, "b")
-
-
-def _assign(target: np.ndarray, value, name: str) -> None:
-    value = np.asarray(value, dtype=np.float64)
-    if value.shape != target.shape:
-        raise ValueError(f"{name} has shape {target.shape}, got {value.shape}")
-    target[...] = value
+    spec: LayerSpec
+    w: np.ndarray
+    b: np.ndarray
 
 
 class Segment:
@@ -85,47 +55,29 @@ class Segment:
     layer by layer as w (row major) then b, the order of the checkpoint
     body. Each layer's w and b are views into it, and gradients from
     backward_segment use the same layout, so optimizer steps, averaging
-    and copies are whole-buffer vector operations.
+    and copies are whole-buffer vector operations. The buffer is used as
+    given, not copied.
     """
 
-    def __init__(self, layers: list[Layer]):
-        if not layers:
+    def __init__(self, specs: list[LayerSpec], params: np.ndarray):
+        if not specs:
             raise ValueError("a segment needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.spec.out_dim != nxt.spec.in_dim:
-                raise ValueError(
-                    f"layer chain breaks: {prev.spec.out_dim} -> {nxt.spec.in_dim}"
-                )
-        self._bind([layer.spec for layer in layers], None)
-        for layer, view in zip(layers, self.layers):
-            view.w[...] = layer.w
-            view.b[...] = layer.b
-            layer._w, layer._b = view.w, view.b
-        self.layers = layers
-
-    @classmethod
-    def from_params(cls, specs: list[LayerSpec], params: np.ndarray) -> "Segment":
-        """A segment whose layers are views into `params` (not copied)."""
-        seg = cls.__new__(cls)
-        seg._bind(list(specs), params)
-        return seg
-
-    def _bind(self, specs: list[LayerSpec], params: np.ndarray | None) -> None:
+        for prev, nxt in zip(specs, specs[1:]):
+            if prev.out_dim != nxt.in_dim:
+                raise ValueError(f"layer chain breaks: {prev.out_dim} -> {nxt.in_dim}")
         offsets = []
         pos = 0
         for spec in specs:
             n_w = spec.in_dim * spec.out_dim
             offsets.append((pos, pos + n_w, pos + n_w + spec.out_dim))
             pos += n_w + spec.out_dim
-        if params is None:
-            params = np.empty(pos)
-        elif params.dtype != np.float64 or params.shape != (pos,):
+        if params.dtype != np.float64 or params.shape != (pos,):
             raise ValueError(
                 f"flat parameters must be float64 of shape ({pos},), "
                 f"got {params.dtype} {params.shape}"
             )
         self.params = params
-        # (w_start, b_start, end) per layer, shared with gradient buffers.
+        # (w_start, b_start, end) per layer, shared with gradient vectors.
         self.offsets = offsets
         self.layers = [
             Layer(spec, params[w0:b0].reshape(spec.in_dim, spec.out_dim), params[b0:end])
@@ -144,21 +96,7 @@ class Segment:
         return [layer.spec for layer in self.layers]
 
     def copy(self) -> "Segment":
-        return Segment.from_params(self.specs(), self.params.copy())
-
-
-class SegmentGrads(tuple):
-    """Per-layer (dW, db) pairs that are views into one flat buffer.
-
-    `flat` has the layout of the segment's `params`, so an optimizer can
-    update the whole segment at once. A tuple, so that no pair can be
-    replaced by an array outside the buffer.
-    """
-
-    def __new__(cls, pairs, flat: np.ndarray):
-        grads = super().__new__(cls, pairs)
-        grads.flat = flat
-        return grads
+        return Segment(self.specs(), self.params.copy())
 
 
 @dataclass
@@ -171,12 +109,11 @@ class ForwardTape:
 
 def init_segment(specs: list[LayerSpec], rng: RngStream) -> Segment:
     """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
-    layers = []
+    parts = []
     for spec in specs:
-        w = rng.normal(spec.in_dim * spec.out_dim).reshape(spec.in_dim, spec.out_dim)
-        w /= np.sqrt(spec.in_dim)
-        layers.append(Layer(spec, w, np.zeros(spec.out_dim)))
-    return Segment(layers)
+        parts.append(rng.normal(spec.in_dim * spec.out_dim) / np.sqrt(spec.in_dim))
+        parts.append(np.zeros(spec.out_dim))
+    return Segment(specs, np.concatenate(parts))
 
 
 def forward_segment(seg: Segment, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
@@ -202,16 +139,16 @@ def backward_segment(
     upstream: np.ndarray,
     *,
     need_input_grad: bool = True,
-) -> tuple[np.ndarray | None, SegmentGrads]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Reverse-mode pass through a taped forward.
 
     upstream is dLoss/dOutput for the segment's output. Returns
-    (input_gradient, grads) where grads[i] = (dW_i, db_i) aligned with
-    seg.layers; the pairs are views into grads.flat, which is laid out
-    like seg.params. The loss reduction convention (e.g. batch mean) is
-    whatever the upstream gradient already encodes. With
-    need_input_grad=False (a bottom segment, whose input is data) the
-    last product is skipped and input_gradient is None.
+    (input_gradient, grad), where grad is one float64 vector laid out like
+    seg.params; Segment(seg.specs(), grad).layers views it per layer. The
+    loss reduction convention (e.g. batch mean) is whatever the upstream
+    gradient already encodes. With need_input_grad=False (a bottom
+    segment, whose input is data) the last product is skipped and
+    input_gradient is None.
     """
     layers = seg.layers
     if len(tape.inputs) != len(layers):
@@ -221,8 +158,7 @@ def backward_segment(
         raise ValueError(
             f"upstream gradient shape {g.shape} does not match output {tape.pre[-1].shape}"
         )
-    flat = np.empty(seg.params.size)
-    pairs: list = [None] * len(layers)
+    grad = np.empty(seg.params.size)
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         w0, b0, end = seg.offsets[i]
@@ -230,13 +166,10 @@ def backward_segment(
             dz = g * (tape.pre[i] > 0.0)
         else:
             dz = g
-        dw = flat[w0:b0].reshape(layer.spec.in_dim, layer.spec.out_dim)
-        db = flat[b0:end]
-        np.matmul(tape.inputs[i].T, dz, out=dw)
-        dz.sum(axis=0, out=db)
-        pairs[i] = (dw, db)
+        np.matmul(tape.inputs[i].T, dz, out=grad[w0:b0].reshape(layer.w.shape))
+        dz.sum(axis=0, out=grad[b0:end])
         g = dz @ layer.w.T if i or need_input_grad else None
-    return g, SegmentGrads(pairs, flat)
+    return g, grad
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -351,55 +284,43 @@ class SgdOptimizer:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: dict[int, np.ndarray] = {}
+        # slot -> (velocity, scratch). The scratch vector takes lr * v and
+        # weight_decay * theta in place: a fresh temporary of a wide
+        # segment's size (0.5 MB at width 256) is often handed back to the
+        # OS and page-faulted in again on every step.
+        self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(
-        self,
-        segments: list[Segment],
-        grads: list[list[tuple[np.ndarray, np.ndarray]]],
-    ) -> None:
-        """Apply one update; grads[i] holds segments[i]'s (dW, db) pairs,
-        as returned by backward_segment or as a plain list. No segment is
-        touched unless every gradient is finite."""
+    def step(self, segments: list[Segment], grads: list[np.ndarray]) -> None:
+        """Apply one update; grads[i] is segments[i]'s gradient, one vector
+        laid out like its params, as backward_segment returns it. No
+        segment is touched unless every gradient fits and is finite. A
+        parameter that leaves the float range in the update raises
+        NumericalError after it."""
         if len(segments) != len(grads):
-            raise ValueError("segments and gradient lists differ in length")
-        flats = [_flat_grad(seg, seg_grads) for seg, seg_grads in zip(segments, grads)]
-        for flat in flats:
-            if not np.isfinite(flat).all():
+            raise ValueError("segments and gradients differ in length")
+        for seg, grad in zip(segments, grads):
+            if grad.shape != seg.params.shape:
+                raise ValueError(
+                    f"gradient shape {grad.shape} does not match parameters "
+                    f"{seg.params.shape}"
+                )
+            if not np.isfinite(grad).all():
                 raise NumericalError("non-finite gradient in optimizer step")
-        for slot, (seg, flat) in enumerate(zip(segments, flats)):
+        for slot, (seg, grad) in enumerate(zip(segments, grads)):
             param = seg.params
-            v = self._velocity.get(slot)
+            v, scratch = self._buffers.get(slot, (None, None))
             if v is None:
-                v = np.zeros_like(param)
-                self._velocity[slot] = v
+                v, scratch = np.zeros_like(param), np.empty_like(param)
+                self._buffers[slot] = v, scratch
             elif v.shape != param.shape:
                 raise ValueError("segment sizes changed between optimizer steps")
             v *= self.momentum
-            v += flat
+            v += grad
             if self.weight_decay:
-                v += self.weight_decay * param
-            param -= self.lr * v
-
-
-def _flat_grad(seg: Segment, seg_grads) -> np.ndarray:
-    """seg_grads as one vector in the layout of seg.params."""
-    if len(seg.layers) != len(seg_grads):
-        raise ValueError("gradient list does not match segment depth")
-    flat = getattr(seg_grads, "flat", None)
-    if flat is not None and flat.shape == seg.params.shape:
-        return flat
-    flat = np.empty(seg.params.size)
-    for layer, (w0, b0, end), (dw, db) in zip(seg.layers, seg.offsets, seg_grads):
-        dw = np.asarray(dw, dtype=np.float64)
-        db = np.asarray(db, dtype=np.float64)
-        if dw.shape != layer.w.shape or db.shape != layer.b.shape:
-            raise ValueError(
-                f"gradient shapes {dw.shape}/{db.shape} do not match {layer.spec}"
-            )
-        flat[w0:b0] = dw.ravel()
-        flat[b0:end] = db
-    return flat
+                v += np.multiply(param, self.weight_decay, out=scratch)
+            param -= np.multiply(v, self.lr, out=scratch)
+            if not np.isfinite(param).all():
+                raise NumericalError("non-finite parameter after optimizer step")
 
 
 @dataclass(frozen=True)
@@ -414,29 +335,26 @@ class OptimizerConfig:
 
 # Checkpoint format: a line-oriented text file. The header lists each
 # segment's layer specs; the body carries parameters in layer order as
-# float hex, one tensor per line. Hex round-trips exactly, so saving the
-# same model twice produces identical bytes.
+# float hex, one weight row or bias vector per line. Hex round-trips
+# exactly, so saving the same model twice produces identical bytes.
 
 _MAGIC = "splitmodel v1"
+_SEGMENTS = ("bottom", "middle", "head")
 
 
 def _fmt_vec(values: np.ndarray) -> str:
     return " ".join(float(v).hex() for v in values)
 
 
-def _parse_vec(text: str) -> np.ndarray:
-    return np.array([float.fromhex(tok) for tok in text.split()], dtype=np.float64)
-
-
 def save_model(model: SplitModel, path: str) -> None:
     lines = [_MAGIC]
-    for name in ("bottom", "middle", "head"):
+    for name in _SEGMENTS:
         seg: Segment = getattr(model, name)
         lines.append(f"segment {name} {len(seg.layers)}")
         for layer in seg.layers:
             s = layer.spec
             lines.append(f"layer {s.in_dim} {s.out_dim} {s.activation}")
-    for name in ("bottom", "middle", "head"):
+    for name in _SEGMENTS:
         seg = getattr(model, name)
         for layer in seg.layers:
             for row in layer.w:
@@ -447,42 +365,46 @@ def save_model(model: SplitModel, path: str) -> None:
 
 
 def load_model(path: str) -> SplitModel:
+    """Read a checkpoint written by save_model; any other file, including
+    one that ends early, raises ValueError naming the line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"not a {_MAGIC} checkpoint")
+
+    def fields(pos: int) -> list[str]:
+        if pos >= len(lines):
+            raise ValueError(f"checkpoint ends early, before line {pos + 1}")
+        return lines[pos].split()
+
     pos = 1
-    seg_specs: dict[str, list[LayerSpec]] = {}
-    for _ in range(3):
-        tag, name, count = lines[pos].split()
-        if tag != "segment":
-            raise ValueError(f"malformed checkpoint header at line {pos + 1}")
+    seg_specs = []
+    for name in _SEGMENTS:
+        head = fields(pos)
+        if len(head) != 3 or head[:2] != ["segment", name]:
+            raise ValueError(f"expected 'segment {name} <layers>' at line {pos + 1}")
         pos += 1
         specs = []
-        for _ in range(int(count)):
-            tag, din, dout, act = lines[pos].split()
-            if tag != "layer":
+        for _ in range(int(head[2])):
+            layer = fields(pos)
+            if len(layer) != 4 or layer[0] != "layer":
                 raise ValueError(f"malformed layer spec at line {pos + 1}")
-            specs.append(LayerSpec(int(din), int(dout), act))
+            specs.append(LayerSpec(int(layer[1]), int(layer[2]), layer[3]))
             pos += 1
-        seg_specs[name] = specs
-    segments: dict[str, Segment] = {}
-    for name in ("bottom", "middle", "head"):
-        layers = []
-        for spec in seg_specs[name]:
-            rows = []
-            for _ in range(spec.in_dim):
-                tag, _, payload = lines[pos].partition(" ")
-                if tag != "w":
-                    raise ValueError(f"expected weight row at line {pos + 1}")
-                rows.append(_parse_vec(payload))
+        seg_specs.append(specs)
+    # The body holds each segment's params in order: per layer, in_dim w
+    # rows then one b row, each out_dim values wide.
+    segments = []
+    for specs in seg_specs:
+        rows = []
+        for spec in specs:
+            for tag in "w" * spec.in_dim + "b":
+                row = fields(pos)
+                if row[:1] != [tag] or len(row) != spec.out_dim + 1:
+                    raise ValueError(
+                        f"expected a {tag} row of {spec.out_dim} values at line {pos + 1}"
+                    )
+                rows.append(np.array([float.fromhex(t) for t in row[1:]]))
                 pos += 1
-            tag, _, payload = lines[pos].partition(" ")
-            if tag != "b":
-                raise ValueError(f"expected bias row at line {pos + 1}")
-            bias = _parse_vec(payload)
-            pos += 1
-            layers.append(Layer(spec, np.stack(rows), bias))
-        segments[name] = Segment(layers)
-    return SplitModel(segments["bottom"], segments["middle"], segments["head"])
-
+        segments.append(Segment(specs, np.concatenate(rows)))
+    return SplitModel(*segments)

@@ -268,7 +268,7 @@ class ServerWorker:
         # scaled by a factor in [0, 1].
         if not math.isfinite(main_norm + wm_norm):
             raise NumericalError("non-finite gradient in the server's reply")
-        g_clipped = adaptive_clip(g_wm, g_main, self.embed, wm_norm, main_norm)
+        g_clipped = adaptive_clip(g_wm, self.embed, wm_norm, main_norm)
         stats = ReplyStats(
             g_main_norm=main_norm,
             wm_loss=wm_loss(p, self.key),
@@ -338,7 +338,7 @@ def fedavg_segments(segments: list[Segment], weights) -> Segment:
     avg = np.zeros_like(segments[0].params)
     for wi, seg in zip(w, segments):
         avg += wi * seg.params
-    return Segment.from_params(ref, avg)
+    return Segment(ref, avg)
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,11 @@ class EmbedConfig:
 
     strength is the ratio cap: the injected gradient is clipped so its norm
     never exceeds strength times the task gradient's norm. Norms are taken
-    over the whole batch tensor unless per_sample is set, which clips each
-    row against the matching task-gradient row instead.
+    over the whole batch tensor.
     """
 
     strength: float
     epsilon: float = 1e-12
-    per_sample: bool = False
 
     def __post_init__(self):
         if not self.strength >= 0.0:
@@ -187,26 +185,15 @@ def wm_gradient(p: np.ndarray, key: WatermarkKey) -> np.ndarray:
 
 
 def adaptive_clip(
-    g_wm: np.ndarray,
-    g_main: np.ndarray,
-    cfg: EmbedConfig,
-    wm_norm: float,
-    main_norm: float,
+    g_wm: np.ndarray, cfg: EmbedConfig, wm_norm: float, main_norm: float
 ) -> np.ndarray:
     """Scale the watermark gradient to at most strength * ||task gradient||.
 
     factor = min(1, strength * ||g_main|| / (||g_wm|| + epsilon)); the
     gradient is only ever shrunk, never amplified. wm_norm and main_norm are
-    the Frobenius norms of g_wm and g_main, which the caller already holds;
-    per_sample mode clips by row norms instead and does not read them.
+    the Frobenius norms of g_wm and of the task gradient g_main, which the
+    caller already holds.
     """
-    if g_wm.shape != g_main.shape:
-        raise ValueError(f"gradient shapes differ: {g_wm.shape} vs {g_main.shape}")
-    if cfg.per_sample:
-        wm_norms = np.sqrt((g_wm**2).sum(axis=1))
-        main_norms = np.sqrt((g_main**2).sum(axis=1))
-        factor = np.minimum(1.0, cfg.strength * main_norms / (wm_norms + cfg.epsilon))
-        return g_wm * factor[:, None]
     factor = min(1.0, cfg.strength * main_norm / (wm_norm + cfg.epsilon))
     return g_wm * factor
 

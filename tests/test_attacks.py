@@ -143,10 +143,10 @@ def test_finetune_rejects_bad_arguments():
 
 def test_prune_hand_case():
     bottom = _bottom(in_dim=4, width=2)
-    bottom.layers[0].w = np.array(
+    bottom.layers[0].w[...] = np.array(
         [[3.0, -3.0], [1.0, -1.0], [0.1, -0.1], [0.01, -0.01]]
     )
-    bottom.layers[1].w = np.array([[5.0, 5.0], [5.0, 5.0]])
+    bottom.layers[1].w[...] = np.array([[5.0, 5.0], [5.0, 5.0]])
     pruned = prune(bottom, 4 / 12)  # the four smallest of twelve weights
     expect = np.array([[3.0, -3.0], [1.0, -1.0], [0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(pruned.layers[0].w, expect)
@@ -199,7 +199,7 @@ def test_prune_rejects_bad_ratio():
 def test_quantize_zero_segment_stays_zero():
     bottom = _bottom()
     for layer in bottom.layers:
-        layer.w = np.zeros_like(layer.w)
+        layer.w[...] = 0.0
     for scheme in QUANT_SCHEMES:
         q = quantize(bottom, scheme)
         for layer in q.layers:
@@ -225,7 +225,7 @@ def test_quantize_int8_error_bound():
 
 def test_quantize_int4_levels_enumerated():
     bottom = _bottom(in_dim=4, width=1)
-    bottom.layers[0].w = np.array([[4.0], [2.0], [0.3], [-4.0]])
+    bottom.layers[0].w[...] = np.array([[4.0], [2.0], [0.3], [-4.0]])
     q = quantize(bottom, "int4")
     got = q.layers[0].w.ravel()
     # 2.0 / step = 3.5 rounds half-to-even onto the 4th tick

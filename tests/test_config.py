@@ -113,6 +113,19 @@ def test_cross_field_checks():
             )
         parse_config(wide + f"{name} = 16\nattack.kinds = adaptive\nembed.enabled = true\n")
         parse_config(wide + f"{name} = 100000\n")
+    # the capped early window must hold enough rows for a k_prime-component PCA
+    adaptive = "attack.kinds = adaptive\nembed.enabled = true\nattack.k_prime = 4\n"
+    for rows in (1, 3):
+        with pytest.raises(ConfigError, match=r"attack\.early_rows.*k_prime"):
+            parse_config(adaptive + f"attack.early_rows = {rows}\n")
+        parse_config(f"attack.k_prime = 4\nattack.early_rows = {rows}\n")
+    for rows in (0, 4, 200):
+        parse_config(adaptive + f"attack.early_rows = {rows}\n")
+    with pytest.raises(ConfigError, match=r"attack\.early_rows"):
+        parse_config(
+            "attack.kinds = adaptive\nembed.enabled = true\n"
+            "attack.k_prime = 1\nattack.early_rows = 1\n"
+        )
     with pytest.raises(ConfigError, match="adaptive.*embed"):
         parse_config("attack.kinds = adaptive\n")
     parse_config("attack.kinds = adaptive\nembed.enabled = true\n")

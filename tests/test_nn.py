@@ -5,7 +5,6 @@ import pytest
 
 from splitmark.linalg import NumericalError, RngStream, StreamLabel
 from splitmark.nn import (
-    Layer,
     LayerSpec,
     OptimizerConfig,
     Segment,
@@ -23,11 +22,7 @@ from splitmark.nn import (
     softmax_xent,
 )
 
-from helpers import segments_equal
-
-
-def _segment(*layers):
-    return Segment([Layer(spec, w, b) for spec, w, b in layers])
+from helpers import segment_of as _segment, segments_equal
 
 
 def _random_segment(rng, dims, activations=None):
@@ -82,11 +77,12 @@ def test_backward_matches_finite_differences():
     out, tape = forward_segment(seg, x)
     loss, gout = softmax_xent(out, labels)
     gin, grads = backward_segment(seg, tape, gout)
+    grad_layers = Segment(seg.specs(), grads).layers
 
     h = 1e-5
     worst = 0.0
-    for li, layer in enumerate(seg.layers):
-        for tensor, analytic in ((layer.w, grads[li][0]), (layer.b, grads[li][1])):
+    for layer, glayer in zip(seg.layers, grad_layers):
+        for tensor, analytic in ((layer.w, glayer.w), (layer.b, glayer.b)):
             flat = tensor.ravel()
             for idx in range(0, flat.size, max(1, flat.size // 10)):
                 orig = flat[idx]
@@ -118,8 +114,7 @@ def test_backward_zero_upstream():
     out, tape = forward_segment(seg, x)
     gin, grads = backward_segment(seg, tape, np.zeros_like(out))
     assert np.array_equal(gin, np.zeros_like(x))
-    for dw, db in grads:
-        assert not dw.any() and not db.any()
+    assert grads.shape == seg.params.shape and not grads.any()
 
 
 def test_backward_identity_passthrough():
@@ -165,7 +160,7 @@ def test_softmax_label_range_edges():
 def test_sgd_plain_step():
     seg = _segment((LayerSpec(1, 1, "identity"), np.array([[1.0]]), np.zeros(1)))
     opt = SgdOptimizer(lr=1.0)
-    opt.step([seg], [[(np.array([[0.5]]), np.zeros(1))]])
+    opt.step([seg], [np.array([0.5, 0.0])])
     assert np.isclose(seg.layers[0].w[0, 0], 0.5)
 
 
@@ -173,7 +168,7 @@ def test_sgd_momentum_recurrence():
     # Two identical unit gradients at m=0.9: v1=1, v2=1.9, total drop lr*2.9.
     seg = _segment((LayerSpec(1, 1, "identity"), np.array([[5.0]]), np.zeros(1)))
     opt = SgdOptimizer(lr=0.1, momentum=0.9)
-    g = [[(np.array([[1.0]]), np.zeros(1))]]
+    g = [np.array([1.0, 0.0])]
     opt.step([seg], g)
     opt.step([seg], g)
     assert np.isclose(seg.layers[0].w[0, 0], 5.0 - 0.1 * (1.0 + 1.9), atol=1e-12)
@@ -182,7 +177,7 @@ def test_sgd_momentum_recurrence():
 def test_sgd_zero_gradient_no_decay():
     seg = _segment((LayerSpec(1, 1, "identity"), np.array([[2.0]]), np.ones(1)))
     opt = SgdOptimizer(lr=0.5)
-    opt.step([seg], [[(np.zeros((1, 1)), np.zeros(1))]])
+    opt.step([seg], [np.zeros(2)])
     assert seg.layers[0].w[0, 0] == 2.0
     assert seg.layers[0].b[0] == 1.0
 
@@ -190,7 +185,7 @@ def test_sgd_zero_gradient_no_decay():
 def test_sgd_weight_decay_pulls_to_zero():
     seg = _segment((LayerSpec(1, 1, "identity"), np.array([[2.0]]), np.zeros(1)))
     opt = SgdOptimizer(lr=0.1, weight_decay=0.5)
-    opt.step([seg], [[(np.zeros((1, 1)), np.zeros(1))]])
+    opt.step([seg], [np.zeros(2)])
     assert np.isclose(seg.layers[0].w[0, 0], 2.0 - 0.1 * 0.5 * 2.0)
 
 
@@ -198,7 +193,7 @@ def test_sgd_rejects_nonfinite_gradient():
     seg = _segment((LayerSpec(1, 1, "identity"), np.array([[1.0]]), np.zeros(1)))
     opt = SgdOptimizer(lr=0.1)
     with pytest.raises(NumericalError):
-        opt.step([seg], [[(np.array([[np.nan]]), np.zeros(1))]])
+        opt.step([seg], [np.array([np.nan, 0.0])])
 
 
 def test_init_is_deterministic_and_scaled():
@@ -229,6 +224,36 @@ def test_split_model_roundtrip(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_model(clone, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_model_rejects_cut_and_malformed_files(tmp_path):
+    spec = SplitSpec(
+        bottom=(LayerSpec(3, 4),),
+        middle=(LayerSpec(4, 4),),
+        head=(LayerSpec(4, 2, "identity"),),
+    )
+    path = tmp_path / "model.ckpt"
+    save_model(init_split_model(spec, RngStream(9, StreamLabel.MODEL_INIT)), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.ckpt"
+    # a file cut after any line: the header, a layer spec or a body row
+    for n in range(len(lines)):
+        bad.write_text("".join(lines[:n]))
+        with pytest.raises(ValueError, match="checkpoint" if n == 0 else f"line {n + 1}"):
+            load_model(str(bad))
+    header = 7  # magic, then one segment line and one layer line per segment
+    w_row = lines[header]
+    cases = {
+        header: w_row.rsplit(" ", 1)[0] + "\n",  # a w row one value short
+        header + 1: w_row.rstrip("\n") + " 0x0p+0\n",  # a w row one value long
+        header + 2: "b" + w_row[1:],  # a b where the last w row belongs
+        1: "segment middle 1\n",  # segments out of order
+        2: "layer 3 4\n",  # a layer spec without activation
+    }
+    for i, text in cases.items():
+        bad.write_text("".join(lines[:i] + [text] + lines[i + 1 :]))
+        with pytest.raises(ValueError, match=f"line {i + 1}"):
+            load_model(str(bad))
 
 
 def test_split_spec_dimension_chain():
@@ -280,20 +305,42 @@ def test_layer_views_and_flat_params_stay_in_sync():
     )
     first.w[1, 2] = 7.0
     assert seg.params[1 * 4 + 2] == 7.0
-    second.b = np.array([5.0, 6.0])
+    second.b[...] = np.array([5.0, 6.0])
     assert np.array_equal(seg.params[-2:], [5.0, 6.0])
     seg.params[12] = -3.0  # first layer's bias, entry 0
     assert first.b[0] == -3.0
     with pytest.raises(ValueError):
-        second.b = np.zeros(3)
+        second.b[...] = np.zeros(3)
+    # a layer cannot be pointed away from the buffer
+    with pytest.raises(AttributeError):
+        second.b = np.array([1.0, 2.0])
+    assert np.array_equal(seg.params[-2:], [5.0, 6.0])
 
 
-def test_segment_adopts_the_layers_it_is_built_from():
-    layer = Layer(LayerSpec(2, 2, "identity"), np.eye(2), np.zeros(2))
-    seg = Segment([layer])
-    assert seg.layers[0] is layer
-    layer.w[0, 1] = 4.0
-    assert seg.params[1] == 4.0
+def test_segment_wraps_the_buffer_it_is_given():
+    params = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    seg = Segment([LayerSpec(2, 2, "identity")], params)
+    assert seg.params is params
+    params[1] = 4.0
+    assert seg.layers[0].w[0, 1] == 4.0
+    seg.layers[0].b[1] = -1.0
+    assert params[5] == -1.0
+
+
+@pytest.mark.parametrize(
+    "specs, params, match",
+    [
+        ([], np.zeros(0), "at least one layer"),
+        ([LayerSpec(2, 3), LayerSpec(2, 1)], np.zeros(12), "chain breaks"),
+        ([LayerSpec(2, 2)], np.zeros(5), r"shape \(6,\)"),
+        ([LayerSpec(2, 2)], np.zeros(6, dtype=np.float32), "float64"),
+        ([LayerSpec(2, 2)], np.zeros((2, 3)), r"shape \(6,\)"),
+    ],
+    ids=["empty", "chain", "size", "dtype", "ndim"],
+)
+def test_segment_rejects_bad_specs_and_buffers(specs, params, match):
+    with pytest.raises(ValueError, match=match):
+        Segment(specs, params)
 
 
 def test_segment_copy_shares_no_memory():
@@ -315,14 +362,16 @@ def test_backward_grads_are_views_of_one_flat_buffer():
     x = rng.normal(15).reshape(5, 3)
     out, tape = forward_segment(seg, x)
     _, grads = backward_segment(seg, tape, np.ones_like(out))
-    assert grads.flat.shape == seg.params.shape
+    assert grads.dtype == np.float64 and grads.shape == seg.params.shape
+    view = Segment(seg.specs(), grads)
+    assert view.params is grads
     assert np.array_equal(
-        grads.flat, np.concatenate([np.ravel(t) for pair in grads for t in pair])
+        grads, np.concatenate([np.ravel(t) for l in view.layers for t in (l.w, l.b)])
     )
     # the same products as the plain per-layer formulas
     a0 = tape.inputs[1]
-    assert np.array_equal(grads[1][0], a0.T @ np.ones_like(out))
-    assert np.array_equal(grads[1][1], np.ones_like(out).sum(axis=0))
+    assert np.array_equal(view.layers[1].w, a0.T @ np.ones_like(out))
+    assert np.array_equal(view.layers[1].b, np.ones_like(out).sum(axis=0))
 
 
 def test_backward_without_input_grad_keeps_parameter_grads_bitwise():
@@ -335,9 +384,7 @@ def test_backward_without_input_grad_keeps_parameter_grads_bitwise():
     skipped_gin, skipped = backward_segment(seg, tape, up, need_input_grad=False)
     assert gin.shape == x.shape
     assert skipped_gin is None
-    assert np.array_equal(skipped.flat, full.flat)
-    for (dw, db), (sdw, sdb) in zip(full, skipped):
-        assert np.array_equal(dw, sdw) and np.array_equal(db, sdb)
+    assert np.array_equal(skipped, full)
 
 
 def _reference_sgd(params, grad_steps, lr, momentum, weight_decay):
@@ -370,7 +417,9 @@ def test_flat_sgd_is_bitwise_the_per_tensor_update():
         )
     opt = SgdOptimizer(lr=0.07, momentum=0.9, weight_decay=0.013)
     for step_grads in steps:
-        opt.step([bottom, head], step_grads)
+        # the same values, laid out like each segment's params
+        flat = [np.concatenate([np.ravel(t) for pair in g for t in pair]) for g in step_grads]
+        opt.step([bottom, head], flat)
     expected = _reference_sgd(
         before,
         [[t for seg_grads in s for pair in seg_grads for t in pair] for s in steps],
@@ -382,37 +431,23 @@ def test_flat_sgd_is_bitwise_the_per_tensor_update():
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
-def test_flat_sgd_from_backward_matches_plain_lists():
-    rng = RngStream(7, StreamLabel.MODEL_INIT)
-    seg = _random_segment(rng, [3, 4, 2])
-    twin = seg.copy()
-    x = rng.normal(12).reshape(4, 3)
-    out, tape = forward_segment(seg, x)
-    _, grads = backward_segment(seg, tape, np.ones_like(out))
-    plain = [(dw.copy(), db.copy()) for dw, db in grads]
-    opt_a, opt_b = SgdOptimizer(0.1, 0.9), SgdOptimizer(0.1, 0.9)
-    for _ in range(2):
-        opt_a.step([seg], [grads])
-        opt_b.step([twin], [plain])
-    assert segments_equal(seg, twin)
-
-
 def test_sgd_nan_in_last_bias_of_second_segment_raises_and_updates_nothing():
     rng = RngStream(8, StreamLabel.MODEL_INIT)
     first = _random_segment(rng, [3, 4])
     second = _random_segment(rng, [4, 4, 2])
     snapshot = (first.params.copy(), second.params.copy())
-    grads_first = [(np.ones((3, 4)), np.ones(4))]
-    grads_second = [(np.ones((4, 4)), np.ones(4)), (np.ones((4, 2)), np.array([0.0, np.nan]))]
+    grads_first = np.ones(first.params.size)
+    grads_second = np.ones(second.params.size)
+    grads_second[-1] = np.nan
     opt = SgdOptimizer(lr=0.1)
     with pytest.raises(NumericalError):
         opt.step([first, second], [grads_first, grads_second])
     assert np.array_equal(first.params, snapshot[0])
     assert np.array_equal(second.params, snapshot[1])
-    # also when the gradients come from backward_segment's flat buffer
+    # also when the gradient comes from backward_segment
     out, tape = forward_segment(second, rng.normal(8).reshape(2, 4))
     _, flat_grads = backward_segment(second, tape, np.ones_like(out))
-    flat_grads[-1][1][-1] = np.inf
+    flat_grads[-1] = np.inf
     with pytest.raises(NumericalError):
         opt.step([second], [flat_grads])
     assert np.array_equal(second.params, snapshot[1])
@@ -420,5 +455,11 @@ def test_sgd_nan_in_last_bias_of_second_segment_raises_and_updates_nothing():
 
 def test_sgd_rejects_gradients_of_the_wrong_shape():
     seg = _random_segment(RngStream(9, StreamLabel.MODEL_INIT), [3, 2])
+    snapshot = seg.params.copy()
     with pytest.raises(ValueError):
-        SgdOptimizer(0.1).step([seg], [[(np.ones((2, 3)), np.ones(2))]])
+        SgdOptimizer(0.1).step([seg], [np.ones(seg.params.size + 1)])
+    with pytest.raises(ValueError):
+        SgdOptimizer(0.1).step([seg], [np.ones((2, 4))])
+    with pytest.raises(ValueError):
+        SgdOptimizer(0.1).step([seg], [])
+    assert np.array_equal(seg.params, snapshot)

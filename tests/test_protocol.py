@@ -9,10 +9,8 @@ from splitmark.data import PartitionSpec, make_blobs, partition, split_per_class
 from splitmark import protocol
 from splitmark.linalg import NumericalError, RngStream, StreamLabel, cosine
 from splitmark.nn import (
-    Layer,
     LayerSpec,
     OptimizerConfig,
-    Segment,
     SplitSpec,
     backward_segment,
     forward_segment,
@@ -40,7 +38,7 @@ from splitmark.watermark import (
 )
 from splitmark.attacks import NoiseSpec
 
-from helpers import segments_equal
+from helpers import segment_of, segments_equal
 
 
 def _spec(width=8, classes=3, in_dim=4):
@@ -116,7 +114,7 @@ def test_final_gradient_decomposes():
     g_main, a = outs["plain"]
     g_keyed, _ = outs["keyed"]
     g_wm = wm_gradient(project(a, key), key)
-    expected = g_main + adaptive_clip(g_wm, g_main, embed, _norm(g_wm), _norm(g_main))
+    expected = g_main + adaptive_clip(g_wm, embed, _norm(g_wm), _norm(g_main))
     assert np.allclose(g_keyed, expected, atol=1e-12)
 
 
@@ -137,10 +135,9 @@ def _key(seed=3):
     [
         (EmbedConfig(strength=0.01), True),
         (EmbedConfig(strength=1e6), False),
-        (EmbedConfig(strength=0.05, per_sample=True), True),
         (EmbedConfig(strength=0.0), True),
     ],
-    ids=["clip-binds", "clip-passes", "per-sample", "strength-0"],
+    ids=["clip-binds", "clip-passes", "strength-0"],
 )
 def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch):
     # The reply and the five server stats equal, bit for bit, what the
@@ -166,7 +163,7 @@ def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch)
     g_main, _ = backward_segment(model.middle, tape, g_initial)
     p = project(a, key)
     g_wm = wm_gradient(p, key)
-    g_clipped = adaptive_clip(g_wm, g_main, embed, _norm(g_wm), _norm(g_main))
+    g_clipped = adaptive_clip(g_wm, embed, _norm(g_wm), _norm(g_main))
     assert (
         stats.g_main_norm,
         stats.wm_loss,
@@ -247,17 +244,18 @@ def test_keyed_server_rejects_non_finite_activations(bad):
 
 @pytest.mark.parametrize("keyed", [True, False])
 def test_server_rejects_non_finite_task_gradient(keyed):
-    # An overflowed middle weight leaves the middle's own parameter
-    # gradients finite but makes the task gradient at the cut non-finite;
-    # the reply must stop there, keyed or not.
+    # A huge finite middle weight stays finite through the middle's own
+    # update, but the task gradient at the cut (twice that weight)
+    # overflows; the reply must stop there, keyed or not.
     server, _ = _server(*((_key(), EmbedConfig(strength=0.1)) if keyed else ()))
-    server.middle.layers[0].w[1, 2] = np.inf
+    server.middle.layers[0].w[1, 2] = 1e308
     d = _spec().split_dim
     a = np.abs(RngStream(3, StreamLabel.DATA, (8,)).normal(5 * d)).reshape(5, d)
     with np.errstate(invalid="ignore", over="ignore"):
         server.middle_forward(a)
         with pytest.raises(NumericalError, match="server's reply"):
-            server.grad_reply(np.ones((5, d)))
+            server.grad_reply(np.full((5, d), 2.0))
+    assert np.isfinite(server.middle.params).all()
 
 
 def test_server_rejects_task_gradient_whose_norm_overflows(monkeypatch):
@@ -281,28 +279,47 @@ def test_server_rejects_task_gradient_whose_norm_overflows(monkeypatch):
     assert np.isfinite(sent[0]).all()
 
 
+def test_client_step_rejects_a_weight_that_overflows():
+    # A huge finite head bias keeps the softmax and every gradient finite,
+    # but lr * weight_decay = 3 sends it past the float range in the
+    # client's update. The batch must stop there: otherwise the inf stays
+    # in the head and, on a round's last batch, is averaged into the model.
+    model = init_split_model(_spec(), RngStream(3, StreamLabel.MODEL_INIT))
+    model.head.layers[-1].b[0] = 1e308
+    client = ClientWorker(0)
+    client.start_round(
+        model.bottom, model.head, OptimizerConfig(lr=3.0, momentum=0.0, weight_decay=1.0)
+    )
+    server = ServerWorker()
+    server.start_round(model.middle, OptimizerConfig())
+    shards, _ = _shards(3)
+    x, y = shards[0].inputs[:5], shards[0].labels[:5]
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="parameter"):
+        train_batch(client, server, x, y, MessageLog(), 0, 0)
+
+
 def test_fedavg_single_model_unchanged():
-    seg = Segment([Layer(LayerSpec(2, 2, "identity"), np.eye(2) * 3, np.ones(2))])
+    seg = segment_of((LayerSpec(2, 2, "identity"), np.eye(2) * 3, np.ones(2)))
     out = fedavg_segments([seg], [7.0])
     assert segments_equal(out, seg)
 
 
 def test_fedavg_equal_weights_mean():
-    a = Segment([Layer(LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1))])
-    b = Segment([Layer(LayerSpec(1, 1, "identity"), np.array([[2.0]]), np.zeros(1))])
+    a = segment_of((LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1)))
+    b = segment_of((LayerSpec(1, 1, "identity"), np.array([[2.0]]), np.zeros(1)))
     out = fedavg_segments([a, b], [1.0, 1.0])
     assert out.layers[0].w[0, 0] == 1.0
 
 
 def test_fedavg_weighted_mean():
-    a = Segment([Layer(LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1))])
-    b = Segment([Layer(LayerSpec(1, 1, "identity"), np.array([[4.0]]), np.zeros(1))])
+    a = segment_of((LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1)))
+    b = segment_of((LayerSpec(1, 1, "identity"), np.array([[4.0]]), np.zeros(1)))
     out = fedavg_segments([a, b], [1.0, 3.0])
     assert out.layers[0].w[0, 0] == 3.0
 
 
 def test_fedavg_validation():
-    a = Segment([Layer(LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1))])
+    a = segment_of((LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1)))
     with pytest.raises(ValueError):
         fedavg_segments([], [])
     with pytest.raises(ValueError):
@@ -313,7 +330,7 @@ def test_fedavg_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fedavg_rejects_non_finite_weights(bad):
-    a = Segment([Layer(LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1))])
+    a = segment_of((LayerSpec(1, 1, "identity"), np.array([[0.0]]), np.zeros(1)))
     with pytest.raises(ValueError, match="finite"):
         fedavg_segments([a, a.copy()], [bad, 1.0])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitmark.linalg import RngStream, StreamLabel, gaussian_matrix, orthonormal_columns
-from splitmark.nn import Layer, LayerSpec, Segment, init_segment
+from splitmark.nn import LayerSpec, init_segment
 from splitmark.watermark import (
     EmbedConfig,
     WatermarkKey,
@@ -23,13 +23,15 @@ from splitmark.watermark import (
     wm_loss,
 )
 
+from helpers import segment_of
+
 LN2 = 0.6931471805599453
 
 
 def _clip(g_wm, g_main, cfg):
     """adaptive_clip given the two Frobenius norms, as grad_reply calls it."""
     return adaptive_clip(
-        g_wm, g_main, cfg, math.sqrt((g_wm**2).sum()), math.sqrt((g_main**2).sum())
+        g_wm, cfg, math.sqrt((g_wm**2).sum()), math.sqrt((g_main**2).sum())
     )
 
 
@@ -161,16 +163,6 @@ def test_adaptive_clip_zero_watermark_gradient():
     assert np.array_equal(out, np.zeros((2, 3)))
 
 
-def test_adaptive_clip_per_sample_rows():
-    cfg = EmbedConfig(strength=1.0, per_sample=True)
-    g_wm = np.array([[3.0, 4.0], [0.1, 0.0]])
-    g_main = np.array([[1.0, 0.0], [0.0, 2.0]])
-    out = _clip(g_wm, g_main, cfg)
-    # row 0 shrunk to norm 1, row 1 already under its cap
-    assert np.isclose(np.linalg.norm(out[0]), 1.0)
-    assert np.allclose(out[1], g_wm[1])
-
-
 def test_clip_bound_randomized():
     rng = np.random.default_rng(11)
     for trial in range(50):
@@ -202,7 +194,7 @@ def _planted_bottom(key, gain=30.0):
     target = gain * (np.linalg.pinv(key.m.T) @ signs)
     w = np.zeros((4, key.d))
     spec = LayerSpec(4, key.d, "identity")
-    return Segment([Layer(spec, w, target)])
+    return segment_of((spec, w, target))
 
 
 def test_verify_perfect_match():
