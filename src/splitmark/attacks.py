@@ -79,23 +79,24 @@ def inject_noise(g: np.ndarray, spec: NoiseSpec, rng: RngStream) -> np.ndarray:
     return g + z * (g_norm / (math.sqrt(spec.snr) * z_norm))
 
 
-def _surrogate_finetune(
+def finetune(
     bottom: Segment,
     shard: Dataset,
     steps: int,
     lr: float,
     rng: RngStream,
-    batch_size: int,
-    momentum: float,
+    batch_size: int = 32,
+    momentum: float = 0.9,
     penalty=None,
-    gamma: float = 0.0,
 ) -> tuple[Segment, Segment]:
-    """Train a copy of the bottom with a fresh linear head for `steps` batches.
+    """Fine-tune the stolen bottom on attacker data with a surrogate head.
 
-    penalty, when given, maps the split activations to (loss, dLoss/dA);
-    its gradient is scaled by gamma and added to the task gradient at the
-    split point. gamma == 0 skips the penalty entirely, so the result is
-    bit-identical to plain fine-tuning under the same stream.
+    Trains a copy of the bottom with a fresh linear head for `steps`
+    batches and returns (attacked bottom, surrogate head); the pair forms
+    the attacker's standalone model. penalty, when given, maps the split
+    activations to (loss, dLoss/dA) with its weight already applied; the
+    gradient is added to the task gradient at the split point. steps == 0
+    or lr == 0 leaves the bottom's parameters exactly unchanged.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -121,30 +122,12 @@ def _surrogate_finetune(
         logits, tape_h = forward_segment(head, a)
         _, g_logits = softmax_xent(logits, y)
         g_split, head_grads = backward_segment(head, tape_h, g_logits)
-        if penalty is not None and gamma != 0.0:
+        if penalty is not None:
             _, g_pen = penalty(a)
-            g_split = g_split + gamma * g_pen
+            g_split = g_split + g_pen
         _, bottom_grads = backward_segment(work, tape_b, g_split, need_input_grad=False)
         opt.step([work, head], [bottom_grads, head_grads])
     return work, head
-
-
-def finetune(
-    bottom: Segment,
-    shard: Dataset,
-    steps: int,
-    lr: float,
-    rng: RngStream,
-    batch_size: int = 32,
-    momentum: float = 0.9,
-) -> tuple[Segment, Segment]:
-    """Fine-tune the stolen bottom on attacker data with a surrogate head.
-
-    Returns (attacked bottom, surrogate head); the pair forms the
-    attacker's standalone model. steps == 0 or lr == 0 leaves the bottom's
-    parameters exactly unchanged.
-    """
-    return _surrogate_finetune(bottom, shard, steps, lr, rng, batch_size, momentum)
 
 
 def prune(segment: Segment, ratio: float) -> Segment:
@@ -223,26 +206,19 @@ class AdaptiveAttackConfig:
 
     rounds_early / rounds_late are half-open [start, stop) round ranges
     whose logged gradients feed the two PCA passes. n_main and k_prime are
-    the retained component counts.
-
-    The field defaults here are a library default. Runs built from a
-    config (Config.adaptive_attack, and so the `adaptive` preset group and
-    the acceptance gate) use the attack.* schema defaults instead: early
-    window (0, 1) capped at attack.early_rows = 200 rows, late window
-    (20, 30), n_main = 4 task directions, k_prime = 16 watermark
-    directions (a quarter of a 64-wide split), gamma = 1.0, and 1000
-    fine-tuning steps at lr 0.003.
+    the retained component counts. Config.adaptive_attack fills every
+    field from the attack.* keys, whose schema holds the defaults.
     """
 
-    rounds_early: tuple[int, int] = (0, 5)
-    rounds_late: tuple[int, int] = (20, 30)
-    n_main: int = 16
-    k_prime: int = 16
-    gamma: float = 1.0
-    ft_steps: int = 500
-    ft_lr: float = 1e-4
-    batch_size: int = 32
-    momentum: float = 0.9
+    rounds_early: tuple[int, int]
+    rounds_late: tuple[int, int]
+    n_main: int
+    k_prime: int
+    gamma: float
+    ft_steps: int
+    ft_lr: float
+    batch_size: int
+    momentum: float
 
     def __post_init__(self):
         for name in ("rounds_early", "rounds_late"):
@@ -327,13 +303,18 @@ def adaptive_remove(
     rng: RngStream,
 ) -> tuple[Segment, Segment]:
     """Fine-tune with a penalty on activation energy in the estimated
-    watermark subspace; returns (attacked bottom, surrogate head)."""
+    watermark subspace; returns (attacked bottom, surrogate head).
+
+    gamma == 0 passes no penalty, so the result is bit-identical to plain
+    fine-tuning under the same stream.
+    """
     weights = _penalty_weights(est)
 
     def penalty(a_flat):
-        return subspace_penalty(a_flat, est.wm_basis, weights)
+        loss, grad = subspace_penalty(a_flat, est.wm_basis, weights)
+        return cfg.gamma * loss, cfg.gamma * grad
 
-    return _surrogate_finetune(
+    return finetune(
         bottom,
         shard,
         cfg.ft_steps,
@@ -341,6 +322,5 @@ def adaptive_remove(
         rng,
         cfg.batch_size,
         cfg.momentum,
-        penalty=penalty,
-        gamma=cfg.gamma,
+        penalty=penalty if cfg.gamma != 0.0 else None,
     )

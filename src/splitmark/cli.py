@@ -173,6 +173,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--probes must be >= 1, got {args.probes}")
     if not 0.0 <= args.tau <= 1.0:
         raise ConfigError(f"--tau must lie in [0, 1], got {args.tau}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     model, key = _load_model_and_key(args.model, args.key)
     rng = RngStream(args.seed, StreamLabel.VERIFICATION, (2,))
     report = verify(model.bottom, key, rng, n_samples=args.probes, tau=args.tau)

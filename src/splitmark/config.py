@@ -9,6 +9,7 @@ of stopping at the first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .attacks import QUANT_SCHEMES, AdaptiveAttackConfig, NoiseSpec
@@ -280,8 +281,15 @@ def _validate(v: dict) -> None:
         v["partition.mode"] in PARTITION_MODES,
         f"partition.mode must be one of {PARTITION_MODES}",
     )
-    check(v["partition.beta"] > 0.0, "partition.beta must be > 0")
-    check(v["partition.sigma"] >= 0.0, "partition.sigma must be >= 0")
+    check(0.0 < v["partition.beta"] < math.inf, "partition.beta must be finite and > 0")
+    check(
+        0.0 <= v["partition.sigma"] < math.inf, "partition.sigma must be finite and >= 0"
+    )
+    check(
+        v["partition.clients"] <= v["data.classes"] * v["data.train_per_class"],
+        "partition.clients exceeds the data.classes * data.train_per_class "
+        "training samples",
+    )
     widths = v["model.widths"]
     check(len(widths) >= 2, "model.widths needs at least 2 layers")
     check(all(w >= 1 for w in widths), "model.widths entries must be >= 1")

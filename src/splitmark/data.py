@@ -10,11 +10,12 @@ with class-stratified content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RngStream, StreamLabel
+from .linalg import NumericalError, RngStream, StreamLabel
 
 PARTITION_MODES = ("iid", "dirichlet", "unbalanced")
 
@@ -120,10 +121,10 @@ class PartitionSpec:
             raise ValueError(
                 f"unknown partition mode {self.mode!r}, expected one of {PARTITION_MODES}"
             )
-        if self.mode == "dirichlet" and not self.beta > 0.0:
-            raise ValueError("dirichlet beta must be positive")
-        if self.mode == "unbalanced" and not self.sigma >= 0.0:
-            raise ValueError("unbalanced sigma must be >= 0")
+        if self.mode == "dirichlet" and not 0.0 < self.beta < math.inf:
+            raise ValueError("dirichlet beta must be finite and positive")
+        if self.mode == "unbalanced" and not 0.0 <= self.sigma < math.inf:
+            raise ValueError("unbalanced sigma must be finite and >= 0")
 
 
 _MAX_DRAWS = 100
@@ -158,7 +159,8 @@ def partition(ds: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
 
     The returned arrays are pairwise disjoint and cover the dataset. Skew
     modes redraw (up to 100 times) when a draw leaves some client empty;
-    a spec that cannot produce non-empty shards raises ValueError.
+    a spec that cannot produce non-empty shards raises ValueError, and a
+    draw whose proportions are not finite raises NumericalError.
     """
     if len(ds) < spec.n_clients:
         raise ValueError(
@@ -180,6 +182,8 @@ def partition(ds: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
             weights = rng.lognormal(spec.sigma, spec.n_clients)
             shared = weights / weights.sum()
             per_class_props = [shared for _ in class_members]
+        if not np.isfinite(per_class_props).all():
+            raise NumericalError(f"partition draw gave non-finite proportions ({spec})")
         shards: list[list[np.ndarray]] = [[] for _ in range(spec.n_clients)]
         totals = np.zeros(spec.n_clients, dtype=np.int64)
         for members, props in zip(class_members, per_class_props):

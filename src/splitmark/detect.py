@@ -30,9 +30,8 @@ things keep honest novelty from counting:
   key column's coefficient. Honest per-sample gradients point by each
   sample's own error.
 
-relative_threshold and coherence_threshold are derived from the
-reference, so a state is rebuilt from (reference, k_nn, quantile,
-threshold) alone.
+All three thresholds are derived from the reference, so a state is
+rebuilt from (reference, k_nn, quantile) alone.
 """
 
 from __future__ import annotations
@@ -66,21 +65,19 @@ MEMORY_ROUNDS = 2
 
 @dataclass
 class DetectorState:
-    """Calibrated reference cloud, thresholds, recent traffic and counts.
+    """Calibrated reference cloud, thresholds and recent traffic.
 
     Each threshold is the `quantile` of a statistic of the reference rows
-    against the other reference rows: threshold of the segment score (only
-    when None is given), relative_threshold of the segment score over the
-    row's norm, coherence_threshold of the cosine with the sum of the other
-    rows.
+    against the other reference rows: threshold of the segment score,
+    relative_threshold of the segment score over the row's norm,
+    coherence_threshold of the cosine with the sum of the other rows.
     """
 
     reference: np.ndarray
     k_nn: int
     quantile: float
-    threshold: float | None = None
-    counts: list[int] = field(default_factory=list)
     recent: list[np.ndarray] = field(default_factory=list)
+    threshold: float = field(init=False)
     relative_threshold: float = field(init=False)
     coherence_threshold: float = field(init=False)
 
@@ -88,8 +85,7 @@ class DetectorState:
         scores = _knn_distances(
             self.reference, self.reference, self.k_nn, skip_self=True
         )
-        if self.threshold is None:
-            self.threshold = float(np.quantile(scores, self.quantile))
+        self.threshold = float(np.quantile(scores, self.quantile))
         norms = np.sqrt((self.reference**2).sum(axis=1))
         ratios = np.divide(scores, norms, out=np.zeros_like(scores), where=norms > 0.0)
         self.relative_threshold = float(np.quantile(ratios, self.quantile))
@@ -226,7 +222,7 @@ def score_round(state: DetectorState, received: np.ndarray) -> int:
     A novel row is an outlier when it is overlong (its ray distance is
     within relative_threshold times its norm) or shared (its cosine with
     the sum of the round's other rows exceeds coherence_threshold). The
-    count is appended to state.counts and the rows join state.recent.
+    rows join state.recent.
     """
     rows = np.array(received, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != state.reference.shape[1]:
@@ -240,10 +236,8 @@ def score_round(state: DetectorState, received: np.ndarray) -> int:
     ray = _knn_distances(rows[novel], anchors, state.k_nn, rays=True)
     overlong = ray <= bound[novel]
     shared = _coherence(rows)[novel] > state.coherence_threshold
-    count = int((overlong | shared).sum())
-    state.counts.append(count)
     state.recent = [*state.recent, rows][-MEMORY_ROUNDS:]
-    return count
+    return int((overlong | shared).sum())
 
 
 def is_alert(count: int, n_received: int) -> bool:

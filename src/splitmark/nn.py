@@ -366,7 +366,8 @@ def save_model(model: SplitModel, path: str) -> None:
 
 def load_model(path: str) -> SplitModel:
     """Read a checkpoint written by save_model; any other file, including
-    one that ends early, raises ValueError naming the line."""
+    one that ends early, goes on after the last segment or holds a
+    non-finite value, raises ValueError naming the line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MAGIC:
@@ -405,6 +406,10 @@ def load_model(path: str) -> SplitModel:
                         f"expected a {tag} row of {spec.out_dim} values at line {pos + 1}"
                     )
                 rows.append(np.array([float.fromhex(t) for t in row[1:]]))
+                if not np.isfinite(rows[-1]).all():
+                    raise ValueError(f"non-finite value at line {pos + 1}")
                 pos += 1
         segments.append(Segment(specs, np.concatenate(rows)))
+    if pos < len(lines):
+        raise ValueError(f"unexpected line {pos + 1} after the last segment")
     return SplitModel(*segments)

@@ -114,27 +114,22 @@ class MessageLog:
                 )
 
 
-@dataclass
-class BatchStats:
-    """Scalars observed while processing one batch."""
+class BatchStats(NamedTuple):
+    """Scalars observed while processing one batch.
 
-    main_loss: float
-    train_acc: float
-    g_main_norm: float
-    wm_loss: float | None = None
-    g_wm_raw_norm: float | None = None
-    g_wm_clipped_norm: float | None = None
-    cos_main_wm: float | None = None
-
-
-class ReplyStats(NamedTuple):
-    """The server's BatchStats fields for one reply; None without a key."""
+    The server fills the first five in grad_reply; the four watermark
+    fields stay None without a key. The client's loss and accuracy come
+    last and stay None until train_batch adds them, since the server never
+    sees labels.
+    """
 
     g_main_norm: float
     wm_loss: float | None = None
     g_wm_raw_norm: float | None = None
     g_wm_clipped_norm: float | None = None
     cos_main_wm: float | None = None
+    main_loss: float | None = None
+    train_acc: float | None = None
 
 
 class ClientWorker:
@@ -246,7 +241,7 @@ class ServerWorker:
         are projected onto the key once, and each gradient norm is taken
         once; loss, gradient, clip and diagnostics all reuse them.
 
-        Returns the reply and its ReplyStats. A non-finite activation or
+        Returns the reply and its BatchStats. A non-finite activation or
         gradient raises NumericalError before anything is sent.
         """
         if self._tape is None:
@@ -259,7 +254,7 @@ class ServerWorker:
         if self.key is None:
             if not math.isfinite(main_norm):
                 raise NumericalError("non-finite task gradient in the server's reply")
-            return g_main, ReplyStats(g_main_norm=main_norm)
+            return g_main, BatchStats(g_main_norm=main_norm)
         p = project(a, self.key)
         g_wm = wm_gradient(p, self.key)
         wm_norm = math.sqrt((g_wm**2).sum())
@@ -269,7 +264,7 @@ class ServerWorker:
         if not math.isfinite(main_norm + wm_norm):
             raise NumericalError("non-finite gradient in the server's reply")
         g_clipped = adaptive_clip(g_wm, self.embed, wm_norm, main_norm)
-        stats = ReplyStats(
+        stats = BatchStats(
             g_main_norm=main_norm,
             wm_loss=wm_loss(p, self.key),
             g_wm_raw_norm=wm_norm,
@@ -306,16 +301,7 @@ def train_batch(
         MessageKind.FINAL_GRADIENT, round_idx, client.index, batch_idx, g_final.shape
     )
     client.apply_final(g_final)
-    stats = BatchStats(
-        main_loss=loss,
-        train_acc=acc,
-        g_main_norm=reply.g_main_norm,
-        wm_loss=reply.wm_loss,
-        g_wm_raw_norm=reply.g_wm_raw_norm,
-        g_wm_clipped_norm=reply.g_wm_clipped_norm,
-        cos_main_wm=reply.cos_main_wm,
-    )
-    return stats, g_final
+    return reply._replace(main_loss=loss, train_acc=acc), g_final
 
 
 def fedavg_segments(segments: list[Segment], weights) -> Segment:
@@ -348,7 +334,8 @@ class ProtocolConfig:
     batch_size: int = 25
     opt: OptimizerConfig = OptimizerConfig()
     probe_samples: int = 64
-    attacker_client: int = 0
+    # The client whose received rows are logged in RunResult.grad_rounds;
+    # it is both the detecting client and the adaptive attacker.
     detector_client: int = 0
 
     def __post_init__(self):
@@ -381,9 +368,10 @@ class RoundMetrics:
 class RunResult:
     """Everything a run leaves behind.
 
-    grad_rounds maps round index to the final gradients the designated
-    attacker client received that round, stacked per sample; this is the
-    raw material for subspace estimation.
+    grad_rounds maps round index to the final gradients that client
+    cfg.detector_client received that round, stacked per sample; the
+    detector scores them and the adaptive attack estimates its subspace
+    from them.
     """
 
     metrics: list[RoundMetrics]
@@ -393,7 +381,7 @@ class RunResult:
     grad_rounds: dict[int, np.ndarray]
 
 
-def _mean_or_none(values: list) -> float | None:
+def _mean_or_none(values) -> float | None:
     vals = [v for v in values if v is not None]
     return float(np.mean(vals)) if vals else None
 
@@ -420,10 +408,9 @@ def run_experiment(
     aggregated bottom is probed after every round with fresh random inputs
     and the match rate is recorded. When a detector state is given, the
     per-sample final gradients received by the detector client are scored
-    once per round.
+    once per round. ServerWorker rejects a key without an embed config and
+    the reverse before training starts.
     """
-    if (key is None) != (embed is None):
-        raise ValueError("key and embed config must be provided together")
     if not shards:
         raise ValueError("at least one client shard is required")
     for i, shard in enumerate(shards):
@@ -464,7 +451,6 @@ def run_experiment(
         round_stats: list[BatchStats] = []
         bottoms, heads, middles = [], [], []
         grad_log_rows: list[np.ndarray] = []
-        detector_rows: list[np.ndarray] = []
         for ci, client in enumerate(clients):
             client.start_round(model.bottom, model.head, cfg.opt)
             server.start_round(model.middle, cfg.opt)
@@ -485,10 +471,8 @@ def run_experiment(
                     )
                     batch_idx += 1
                     round_stats.append(stats)
-                    if ci == cfg.attacker_client:
+                    if ci == cfg.detector_client:
                         grad_log_rows.append(g_final)
-                    if detector is not None and ci == cfg.detector_client:
-                        detector_rows.append(g_final)
             bottoms.append(client.bottom)
             heads.append(client.head)
             middles.append(server.middle)
@@ -507,25 +491,26 @@ def run_experiment(
                 model.bottom, key, probe_rng.child(t), n_samples=cfg.probe_samples
             ).wsr
         outliers = None
-        if detector is not None and detector_rows:
-            outliers = score_round(detector, np.vstack(detector_rows))
+        if grad_log_rows:
+            grad_rounds[t] = np.vstack(grad_log_rows)
+            if detector is not None:
+                outliers = score_round(detector, grad_rounds[t])
+        mean = BatchStats(*map(_mean_or_none, zip(*round_stats)))
         metrics.append(
             RoundMetrics(
                 round_idx=t,
-                main_loss=_mean_or_none([s.main_loss for s in round_stats]),
-                g_main_norm=_mean_or_none([s.g_main_norm for s in round_stats]),
-                train_acc=_mean_or_none([s.train_acc for s in round_stats]),
+                main_loss=mean.main_loss,
+                g_main_norm=mean.g_main_norm,
+                train_acc=mean.train_acc,
                 test_acc=test_acc,
-                wm_loss=_mean_or_none([s.wm_loss for s in round_stats]),
-                g_wm_norm=_mean_or_none([s.g_wm_clipped_norm for s in round_stats]),
-                cos_main_wm=_mean_or_none([s.cos_main_wm for s in round_stats]),
+                wm_loss=mean.wm_loss,
+                g_wm_norm=mean.g_wm_clipped_norm,
+                cos_main_wm=mean.cos_main_wm,
                 wsr_probe=wsr,
                 outliers=outliers,
             )
         )
         all_stats.extend(round_stats)
-        if grad_log_rows:
-            grad_rounds[t] = np.vstack(grad_log_rows)
 
     log.verify_ordering()
     return RunResult(

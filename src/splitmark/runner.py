@@ -118,7 +118,7 @@ def run_attacks(
 ) -> list[dict]:
     """Apply the configured attack list to the trained model.
 
-    grad_rounds is the attacker client's gradient log (RunResult.grad_rounds);
+    grad_rounds is the detector client's gradient log (RunResult.grad_rounds);
     only the adaptive attack reads it. Each entry reports the attack name
     and parameters plus pre/post test accuracy and (when a key exists)
     pre/post WSR measured on a probe stream shared between the pre and
@@ -274,9 +274,10 @@ def execute_run(cfg: Config, out_dir: str | None = None) -> dict:
         results["tau"] = report.threshold
         save_key(key, os.path.join(out, "key.txt"))
     if detector is not None:
+        counts = [m.outliers for m in res.metrics]
         results["detector"] = {
-            "counts": list(detector.counts),
-            "mean": float(np.mean(detector.counts)) if detector.counts else None,
+            "counts": counts,
+            "mean": float(np.mean(counts)) if counts else None,
         }
     if cfg["attack.kinds"]:
         results["attacks"] = run_attacks(

@@ -323,7 +323,10 @@ def load_key(path: str) -> WatermarkKey:
     actual = hashlib.sha256(body.encode("ascii")).hexdigest()
     if actual != expected:
         raise ValueError("key file checksum mismatch; file is corrupt")
-    fields = dict(ln.split(" ", 1) for ln in lines[1:4])
+    fields = dict(ln.partition(" ")[::2] for ln in lines[1:4])
+    missing = [name for name in ("d", "k", "seed") if name not in fields]
+    if missing:
+        raise ValueError(f"key file header lacks {', '.join(missing)}")
     d, k, seed = int(fields["d"]), int(fields["k"]), int(fields["seed"])
     rows = []
     for ln in lines[4 : 4 + d]:

@@ -1,11 +1,12 @@
 """Noise injection, fine-tuning, pruning, quantization, subspace removal."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from splitmark.attacks import (
     QUANT_SCHEMES,
-    AdaptiveAttackConfig,
     NoiseSpec,
     SubspaceEstimate,
     adaptive_remove,
@@ -17,11 +18,15 @@ from splitmark.attacks import (
     subspace_affinity,
     subspace_penalty,
 )
+from splitmark.config import parse_config
 from splitmark.data import make_blobs
 from splitmark.linalg import RngStream, StreamLabel, orthonormal_columns, pca
 from splitmark.nn import LayerSpec, forward_segment, init_segment
 
 INT4_STEP = 0.5714285714285714  # 4 / 7: max 4.0 over 7 positive levels
+
+# The adaptive attack at the attack.* schema defaults.
+ADAPTIVE = parse_config("").adaptive_attack()
 
 
 def _rng(seed=0, path=(0,)):
@@ -390,24 +395,24 @@ def test_affinity_of_random_subspaces_near_ratio():
 
 
 def test_adaptive_config_validation():
-    AdaptiveAttackConfig()  # defaults are valid
+    replace(ADAPTIVE)  # the schema defaults are valid
     with pytest.raises(ValueError):
-        AdaptiveAttackConfig(rounds_early=(3, 3))
+        replace(ADAPTIVE, rounds_early=(3, 3))
     with pytest.raises(ValueError):
-        AdaptiveAttackConfig(rounds_late=(-1, 5))
+        replace(ADAPTIVE, rounds_late=(-1, 5))
     with pytest.raises(ValueError):
-        AdaptiveAttackConfig(n_main=0)
+        replace(ADAPTIVE, n_main=0)
     with pytest.raises(ValueError):
-        AdaptiveAttackConfig(gamma=-0.5)
+        replace(ADAPTIVE, gamma=-0.5)
     with pytest.raises(ValueError):
-        AdaptiveAttackConfig(ft_lr=-1e-4)
+        replace(ADAPTIVE, ft_lr=-1e-4)
 
 
 def test_adaptive_remove_with_zero_gamma_is_plain_finetune():
     early, late, _, _ = _planted_logs(4, d=10)
     est = estimate_subspace(early, late, 2, 3)
-    cfg = AdaptiveAttackConfig(
-        gamma=0.0, ft_steps=40, ft_lr=0.02, batch_size=16, momentum=0.9
+    cfg = replace(
+        ADAPTIVE, gamma=0.0, ft_steps=40, ft_lr=0.02, batch_size=16, momentum=0.9
     )
     shard = _shard(seed=8)
     a, _ = adaptive_remove(_bottom(seed=9), shard, est, cfg, _rng(24))
@@ -423,7 +428,7 @@ def test_adaptive_remove_drains_penalized_direction():
     acts, _ = forward_segment(bottom, shard.inputs)
     basis, variances = pca(acts, 2)
     est = SubspaceEstimate(np.zeros((bottom.out_dim, 0)), basis, variances)
-    cfg = AdaptiveAttackConfig(gamma=30.0, ft_steps=150, ft_lr=0.02)
+    cfg = replace(ADAPTIVE, gamma=30.0, ft_steps=150, ft_lr=0.02)
 
     def energy(seg):
         a, _ = forward_segment(seg, shard.inputs)

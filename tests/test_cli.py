@@ -122,6 +122,23 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
         cut.write_text("".join(fh.readlines()[:10]))
     wide_key = str(tmp_path / "wide.txt")
     save_key(keygen(RngStream(0, StreamLabel.WATERMARK_KEY), spec.split_dim + 1, 4), wide_key)
+    # checkpoints whose first weight is not finite or that go on after the
+    # last segment, and a key whose header lacks d under a valid checksum
+    with open(model) as fh:
+        lines = fh.readlines()
+    rest = lines[7].split(" ", 2)[2]  # the first w row without its first value
+    inf, nan, trailing = (str(tmp_path / f"{n}.ckpt") for n in ("inf", "nan", "trailing"))
+    for path, body_lines in (
+        (inf, lines[:7] + [f"w inf {rest}"] + lines[8:]),
+        (nan, lines[:7] + [f"w nan {rest}"] + lines[8:]),
+        (trailing, lines + ["b 0x0p+0\n"]),
+    ):
+        with open(path, "w") as fh:
+            fh.writelines(body_lines)
+    after_end = f"line {len(lines) + 1}"
+    body = key.read_text().rsplit("\nchecksum ", 1)[0].replace("\nd ", "\nx ", 1)
+    no_d = tmp_path / "no_d.txt"
+    no_d.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
     narrow, five = str(tmp_path / "narrow.ckpt"), str(tmp_path / "five.ckpt")
     for path, override in ((narrow, {"data.input_dim": 3}), (five, {"data.classes": 5})):
         other = load_config(tiny_cfg, override).split_spec()
@@ -131,6 +148,11 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
     cases = [
         (verify + ["--probes", "0"], ["--probes"]),
         (verify + ["--tau", "2"], ["--tau"]),
+        (verify + ["--seed", "-1"], ["--seed"]),
+        (["verify", "--model", inf, "--key", str(key)], [inf, "line 8"]),
+        (["verify", "--model", nan, "--key", str(key)], [nan, "line 8"]),
+        (["verify", "--model", trailing, "--key", str(key)], [trailing, after_end]),
+        (["verify", "--model", model, "--key", str(no_d)], [str(no_d), "lacks d"]),
         (["verify", "--model", str(garbage), "--key", str(key)], [str(garbage)]),
         (["verify", "--model", model, "--key", str(tampered)], [str(tampered)]),
         (["verify", "--model", str(cut), "--key", str(key)], [str(cut), "line 11"]),
@@ -216,25 +238,45 @@ def test_same_seed_runs_are_byte_identical(tiny_wm_cfg, tmp_path, capsys):
                 assert fa.read() == fb.read(), name
 
 
-# sha256 of the tiny keyed run's artifacts at seed 0, recorded before nn's
-# per-layer parameter API was removed. A change meant to keep artifacts
-# byte-identical must reproduce them; one that changes them on purpose
-# updates them here and tables the new digests.
-FROZEN_TINY_DIGESTS = {
-    "metrics.csv": "65808b6326ebf54247c6e2596140c5e7ee0a0c0b13c67e5d2d01ac23856db0ac",
-    "model.ckpt": "d09f10eccf19226ab2b694b72cf2e8e3dc3f8bbf8eee7ddb8a50e6e7014e3858",
-    "key.txt": "d722ce046a6fc092033c407ccf7877e356d087c894f35a18968216e6d1f42d6b",
-}
+# sha256 of the tiny keyed runs' artifacts, recorded before nn's per-layer
+# parameter API was removed (strength 0.5, seed 0) and before the detector's
+# counts moved to RoundMetrics (strength 5.0 with the detector on, 3
+# rounds, seed 3; outlier counts [3, 0, 0]). A change meant to keep
+# artifacts byte-identical must reproduce them; one that changes them on
+# purpose updates them here and tables the new digests.
+FROZEN_TINY_RUNS = [
+    (
+        "embed.strength = 0.5\n",
+        ["--seed", "0"],
+        {
+            "metrics.csv": "65808b6326ebf54247c6e2596140c5e7ee0a0c0b13c67e5d2d01ac23856db0ac",
+            "model.ckpt": "d09f10eccf19226ab2b694b72cf2e8e3dc3f8bbf8eee7ddb8a50e6e7014e3858",
+            "key.txt": "d722ce046a6fc092033c407ccf7877e356d087c894f35a18968216e6d1f42d6b",
+        },
+    ),
+    (
+        "embed.strength = 5.0\ndetector.enabled = true\n",
+        ["--seed", "3", "--set", "run.rounds=3"],
+        {
+            "metrics.csv": "b76e68dbbf59a9bc636b797b19e9caac87d0b4bcd72dbf3086f37d4856d977b6",
+            "manifest.json": "8d17831bd47d570e08757ec07686a22ea35e289095b28ebe6e126ba5726ec4d0",
+            "model.ckpt": "485438416a47766c2c2173880066e2b733fe0a7265d108960fa5203c74c217b5",
+            "key.txt": "248ff5ff07dfb9484a48004f273a503ec0057603883d60a22a4c311dfed6acfe",
+        },
+    ),
+]
 
 
-def test_tiny_keyed_run_artifacts_are_frozen(tiny_wm_cfg, tmp_path, capsys):
-    # 2 rounds, 2 clients, embedding at strength 0.5
-    out = str(tmp_path / "wm")
-    assert main(["run", "--config", tiny_wm_cfg, "--out", out, "--seed", "0"]) == EXIT_OK
+def test_tiny_keyed_run_artifacts_are_frozen(tmp_path, capsys):
+    # 2 clients with embedding on; the second run also scores every round
+    for i, (extra, flags, digests) in enumerate(FROZEN_TINY_RUNS):
+        cfg, out = tmp_path / f"tiny{i}.cfg", str(tmp_path / f"run{i}")
+        cfg.write_text(TINY + "embed.enabled = true\n" + extra)
+        assert main(["run", "--config", str(cfg), "--out", out, *flags]) == EXIT_OK
+        for name, digest in digests.items():
+            with open(os.path.join(out, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, (i, name)
     capsys.readouterr()
-    for name, digest in FROZEN_TINY_DIGESTS.items():
-        with open(os.path.join(out, name), "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 def test_set_override_controls_the_run(tiny_cfg, tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Strict key=value config parsing, validation, and object builders."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
-from splitmark.attacks import QUANT_SCHEMES, AdaptiveAttackConfig
+from splitmark.attacks import QUANT_SCHEMES
 from splitmark.data import PartitionSpec
 from splitmark.nn import OptimizerConfig
 from splitmark.watermark import EmbedConfig
@@ -126,6 +129,11 @@ def test_cross_field_checks():
             "attack.kinds = adaptive\nembed.enabled = true\n"
             "attack.k_prime = 1\nattack.early_rows = 1\n"
         )
+    # every client needs at least one of the training samples
+    small = "data.classes = 4\ndata.train_per_class = 20\n"
+    with pytest.raises(ConfigError, match=r"partition\.clients"):
+        parse_config(small + "partition.clients = 81\n")
+    parse_config(small + "partition.clients = 80\n")
     with pytest.raises(ConfigError, match="adaptive.*embed"):
         parse_config("attack.kinds = adaptive\n")
     parse_config("attack.kinds = adaptive\nembed.enabled = true\n")
@@ -148,7 +156,7 @@ _LIBRARY = {
     "partition.beta": lambda v: PartitionSpec(4, "dirichlet", beta=v),
     "embed.strength": lambda v: EmbedConfig(strength=v),
     "embed.epsilon": lambda v: EmbedConfig(strength=0.1, epsilon=v),
-    "attack.gamma": lambda v: AdaptiveAttackConfig(gamma=v),
+    "attack.gamma": lambda v: replace(parse_config("").adaptive_attack(), gamma=v),
     "optimizer.momentum": lambda v: OptimizerConfig(momentum=v).build(),
 }
 
@@ -160,7 +168,9 @@ _LIBRARY = {
         pytest.param("partition.sigma", 0.0, True, id="0.0-True"),
         pytest.param("partition.sigma", 1.0, True, id="1.0-True"),
         ("partition.sigma", _NAN, False),
+        ("partition.sigma", math.inf, False),
         ("partition.beta", _NAN, False),
+        ("partition.beta", math.inf, False),
         ("embed.strength", _NAN, False),
         ("embed.epsilon", _NAN, False),
         ("attack.gamma", _NAN, False),

@@ -13,7 +13,7 @@ from splitmark.data import (
     partition,
     split_per_class,
 )
-from splitmark.linalg import RngStream, StreamLabel
+from splitmark.linalg import NumericalError, RngStream, StreamLabel
 
 
 def _blobs(seed=0, n=100, classes=4, dim=8, spread=0.5, radius=3.0):
@@ -146,6 +146,15 @@ def test_unbalanced_sizes_vary():
     sizes = sorted(len(idx) for idx in shards)
     assert sizes[0] < sizes[-1]
     assert sum(sizes) == len(ds.labels)
+
+
+def test_unbalanced_overflowing_draw_is_a_numerical_error():
+    # exp(sigma * z) overflows for z > 0.71, and inf / inf proportions must
+    # fail instead of sending the leftover loop round about 1e19 times
+    ds = _blobs(n=20, classes=2, dim=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            partition(ds, PartitionSpec(2, "unbalanced", sigma=1000.0))
 
 
 def test_partition_same_seed_identical():

@@ -111,7 +111,8 @@ def test_recent_rounds_extend_the_reference():
 
 def test_state_rebuilds_from_its_calibration():
     state = _state()
-    fresh = DetectorState(state.reference, state.k_nn, state.quantile, state.threshold)
+    fresh = DetectorState(state.reference, state.k_nn, state.quantile)
+    assert fresh.threshold == state.threshold
     assert fresh.relative_threshold == state.relative_threshold
     assert fresh.coherence_threshold == state.coherence_threshold
     assert 0.0 < fresh.relative_threshold <= 1.0
@@ -126,14 +127,6 @@ def test_shifted_rows_flagged():
     assert score_round(state, rows) == 10
 
 
-def test_counts_accumulate_in_order():
-    state = _state()
-    a = score_round(state, state.reference[:5])
-    b = score_round(state, state.reference[:7] * 1000.0)
-    assert state.counts == [a, b]
-    assert b == 7
-
-
 def test_build_reference_deterministic():
     a = _state(seed=4)
     b = _state(seed=4)
@@ -146,7 +139,7 @@ def test_threshold_positive_and_state_shape():
     assert state.threshold > 0.0
     assert state.reference.ndim == 2
     assert state.reference.shape[1] == _spec().split_dim
-    assert state.k_nn == 5 and state.counts == []
+    assert state.k_nn == 5 and state.recent == []
 
 
 def test_build_reference_validation():

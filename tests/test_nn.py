@@ -254,6 +254,15 @@ def test_load_model_rejects_cut_and_malformed_files(tmp_path):
         bad.write_text("".join(lines[:i] + [text] + lines[i + 1 :]))
         with pytest.raises(ValueError, match=f"line {i + 1}"):
             load_model(str(bad))
+    # a non-finite value anywhere in the body, and a line after the last segment
+    rest = w_row.split(" ", 2)[2]  # the first w row without its first value
+    for value in ("inf", "-inf", "nan"):
+        bad.write_text("".join(lines[:header] + [f"w {value} {rest}"] + lines[header + 1 :]))
+        with pytest.raises(ValueError, match=f"non-finite value at line {header + 1}"):
+            load_model(str(bad))
+    bad.write_text("".join(lines) + "b 0x0p+0\n")
+    with pytest.raises(ValueError, match=f"line {len(lines) + 1} after the last segment"):
+        load_model(str(bad))
 
 
 def test_split_spec_dimension_chain():
