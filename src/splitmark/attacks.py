@@ -100,8 +100,8 @@ def finetune(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if lr < 0.0 or batch_size < 1:
-        raise ValueError("lr must be >= 0 and batch_size >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if len(shard) < 1:
         raise ValueError("attacker shard is empty")
     work = bottom.copy()
@@ -260,16 +260,12 @@ def subspace_penalty(
 
     loss = mean_i sum_j weights_j * (a_i . v_j)^2 over the batch; the
     gradient with respect to the activations is
-    (2 / batch) * ((A @ V) * weights) @ V^T.
+    (2 / batch) * ((A @ V) * weights) @ V^T. Non-finite activations give a
+    non-finite gradient, which finetune's optimizer rejects.
     """
-    a = as_matrix(a_flat, "activations")
-    v = as_matrix(basis, "subspace basis")
-    w = np.asarray(weights, dtype=np.float64)
-    if v.shape[0] != a.shape[1] or w.shape != (v.shape[1],):
-        raise ValueError("basis/weights shapes do not match the activations")
-    proj = a @ v
-    loss = float((w * proj**2).sum(axis=1).mean())
-    grad = (2.0 / a.shape[0]) * (proj * w) @ v.T
+    proj = a_flat @ basis
+    loss = float((weights * proj**2).sum(axis=1).mean())
+    grad = (2.0 / a_flat.shape[0]) * (proj * weights) @ basis.T
     return loss, grad
 
 

@@ -274,7 +274,7 @@ def _validate(v: dict) -> None:
     check(v["data.input_dim"] >= 1, "data.input_dim must be >= 1")
     check(v["data.train_per_class"] >= 1, "data.train_per_class must be >= 1")
     check(v["data.test_per_class"] >= 0, "data.test_per_class must be >= 0")
-    check(v["data.spread"] > 0.0, "data.spread must be > 0")
+    check(v["data.spread"] >= 0.0, "data.spread must be >= 0")
     check(v["data.radius"] > 0.0, "data.radius must be > 0")
     check(v["partition.clients"] >= 1, "partition.clients must be >= 1")
     check(

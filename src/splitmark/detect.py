@@ -177,6 +177,11 @@ def build_reference(
         raise ValueError("k_nn, epochs and batch_size must be >= 1")
     if not 0.0 < quantile < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
+    if shard.n_classes > spec.n_classes:
+        raise ValueError(
+            f"shard has {shard.n_classes} classes, more than the head's "
+            f"{spec.n_classes}"
+        )
     n_sub = max(1, int(round(shard_fraction * len(shard))))
     sel = rng.permutation(len(shard))[:n_sub]
     sub = shard.subset(sel)
@@ -224,7 +229,7 @@ def score_round(state: DetectorState, received: np.ndarray) -> int:
     the sum of the round's other rows exceeds coherence_threshold). The
     rows join state.recent.
     """
-    rows = np.array(received, dtype=np.float64)
+    rows = np.asarray(received, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != state.reference.shape[1]:
         raise ValueError(
             f"received gradients must be 2-D with width {state.reference.shape[1]}"

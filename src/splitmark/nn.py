@@ -117,11 +117,7 @@ def init_segment(specs: list[LayerSpec], rng: RngStream) -> Segment:
 
 
 def forward_segment(seg: Segment, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != seg.in_dim:
-        raise ValueError(
-            f"segment expects input of shape (batch, {seg.in_dim}), got {x.shape}"
-        )
+    """Forward pass of a float64 (batch, seg.in_dim) array, taped for backward."""
     tape = ForwardTape(inputs=[], pre=[])
     out = x
     for layer in seg.layers:
@@ -142,7 +138,8 @@ def backward_segment(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Reverse-mode pass through a taped forward.
 
-    upstream is dLoss/dOutput for the segment's output. Returns
+    tape comes from forward_segment on the same segment, and upstream is
+    dLoss/dOutput, a float64 array of the output's shape. Returns
     (input_gradient, grad), where grad is one float64 vector laid out like
     seg.params; Segment(seg.specs(), grad).layers views it per layer. The
     loss reduction convention (e.g. batch mean) is whatever the upstream
@@ -151,13 +148,7 @@ def backward_segment(
     input_gradient is None.
     """
     layers = seg.layers
-    if len(tape.inputs) != len(layers):
-        raise ValueError("tape does not match segment depth")
-    g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != tape.pre[-1].shape:
-        raise ValueError(
-            f"upstream gradient shape {g.shape} does not match output {tape.pre[-1].shape}"
-        )
+    g = upstream
     grad = np.empty(seg.params.size)
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
@@ -177,20 +168,13 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
 
     Returns (loss, dLoss/dlogits); the gradient is (softmax - onehot) / batch.
     Shifted by the row max before exponentiation so large logits stay finite.
+    labels is an integer array with one entry in [0, n_classes) per row;
+    one outside would index another row's logit.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels)
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise ValueError(f"logits must be a non-empty 2-D array, got shape {z.shape}")
-    if y.shape != (z.shape[0],):
-        raise ValueError(f"labels shape {y.shape} does not match batch {z.shape[0]}")
-    # one pass: a negative label wraps to a huge unsigned value
-    if np.count_nonzero(y.astype(np.uint64) >= z.shape[1]):
-        raise ValueError("label outside [0, n_classes)")
-    batch, n_classes = z.shape
+    batch, n_classes = logits.shape
     # flat positions of the label entries, shared by the loss and the gradient
-    picks = np.arange(0, batch * n_classes, n_classes) + y
-    shifted = z - z.max(axis=1, keepdims=True)
+    picks = np.arange(0, batch * n_classes, n_classes) + labels
+    shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     sums = expz.sum(axis=1, keepdims=True)
     picked = shifted.ravel()[picks] - np.log(sums.ravel())
@@ -293,17 +277,10 @@ class SgdOptimizer:
     def step(self, segments: list[Segment], grads: list[np.ndarray]) -> None:
         """Apply one update; grads[i] is segments[i]'s gradient, one vector
         laid out like its params, as backward_segment returns it. No
-        segment is touched unless every gradient fits and is finite. A
-        parameter that leaves the float range in the update raises
-        NumericalError after it."""
-        if len(segments) != len(grads):
-            raise ValueError("segments and gradients differ in length")
-        for seg, grad in zip(segments, grads):
-            if grad.shape != seg.params.shape:
-                raise ValueError(
-                    f"gradient shape {grad.shape} does not match parameters "
-                    f"{seg.params.shape}"
-                )
+        segment is touched unless every gradient is finite. A parameter
+        that leaves the float range in the update raises NumericalError
+        after it."""
+        for grad in grads:
             if not np.isfinite(grad).all():
                 raise NumericalError("non-finite gradient in optimizer step")
         for slot, (seg, grad) in enumerate(zip(segments, grads)):
@@ -312,8 +289,6 @@ class SgdOptimizer:
             if v is None:
                 v, scratch = np.zeros_like(param), np.empty_like(param)
                 self._buffers[slot] = v, scratch
-            elif v.shape != param.shape:
-                raise ValueError("segment sizes changed between optimizer steps")
             v *= self.momentum
             v += grad
             if self.weight_decay:

@@ -418,6 +418,11 @@ def run_experiment(
             raise ValueError(f"client {i} has an empty shard")
         if shard.inputs.shape[1] != spec.in_dim:
             raise ValueError("shard input width does not match the model spec")
+        if shard.n_classes > spec.n_classes:
+            raise ValueError(
+                f"client {i} has {shard.n_classes} classes, more than the "
+                f"head's {spec.n_classes}"
+            )
     if key is not None and key.d != spec.split_dim:
         raise ValueError(
             f"key dimension {key.d} does not match split width {spec.split_dim}"

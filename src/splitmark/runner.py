@@ -22,7 +22,7 @@ from .attacks import (
     prune,
     quantize,
 )
-from .config import Config
+from .config import Config, ConfigError
 from .data import Dataset, make_blobs, partition, split_per_class
 from .detect import build_reference
 from .linalg import RngStream, StreamLabel
@@ -64,7 +64,12 @@ def build_data(cfg: Config) -> tuple[Dataset, Dataset]:
 
 
 def build_shards(cfg: Config, train: Dataset) -> list[Dataset]:
-    idx = partition(train, cfg.partition_spec())
+    """Split train per the partition.* keys. A spec that leaves some client
+    empty on every draw is a config problem and raises ConfigError."""
+    try:
+        idx = partition(train, cfg.partition_spec())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return [train.subset(i) for i in idx]
 
 

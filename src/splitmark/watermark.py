@@ -142,24 +142,15 @@ def _sigmoid(p: np.ndarray) -> np.ndarray:
 
 
 def project(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
-    """Validate a batch of activations and return its projections A @ M.
+    """Return the projections A @ M of a float64 (batch, key.d) activation batch.
 
     wm_loss and wm_gradient both take this matrix, so a caller that needs
     the loss and the gradient checks A and multiplies by M once. Non-finite
     activations raise NumericalError: training has diverged before the cut.
     """
-    a = np.asarray(a_flat, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"activations must be 2-D, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("activation batch is empty")
-    if a.shape[1] != key.d:
-        raise ValueError(
-            f"activation width {a.shape[1]} does not match key dimension {key.d}"
-        )
-    if not np.isfinite(a).all():
+    if not np.isfinite(a_flat).all():
         raise NumericalError("activations contain non-finite entries")
-    return a @ key.m
+    return a_flat @ key.m
 
 
 def wm_loss(p: np.ndarray, key: WatermarkKey) -> float:
@@ -199,10 +190,7 @@ def adaptive_clip(
 
 
 def compose(g_main: np.ndarray, g_wm_clipped: np.ndarray) -> np.ndarray:
-    if g_main.shape != g_wm_clipped.shape:
-        raise ValueError(
-            f"gradient shapes differ: {g_main.shape} vs {g_wm_clipped.shape}"
-        )
+    """Task gradient plus the clipped watermark term, both shaped like A."""
     return g_main + g_wm_clipped
 
 

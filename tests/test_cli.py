@@ -185,6 +185,11 @@ def test_run_argument_validation(tiny_cfg, tmp_path):
     assert (
         main(["run", "--config", tiny_cfg, "--set", "optimizer.lr=slow"]) == EXIT_CONFIG
     )
+    # a skew spec that leaves some client empty on every draw
+    skewed = ["partition.clients=10", "partition.mode=unbalanced", "partition.sigma=30"]
+    flags = [arg for item in skewed for arg in ("--set", item)]
+    out = ["--out", str(tmp_path / "skewed")]
+    assert main(["run", "--config", tiny_cfg, *out, *flags]) == EXIT_CONFIG
 
 
 def test_divergent_run_exits_numeric(tiny_cfg, tmp_path):
@@ -224,6 +229,29 @@ def test_divergent_keyed_run_exits_numeric(tiny_wm_cfg, tmp_path):
                 "optimizer.weight_decay=1e200",
             ]
         )
+    assert code == EXIT_NUMERIC
+
+
+def test_divergent_adaptive_attack_exits_numeric(tmp_path):
+    import numpy as np
+
+    # a huge fine-tuning rate drives the attacker's surrogate training to
+    # non-finite activations; the run must end as a numerical error, not
+    # as a crash in the subspace penalty
+    cfg = tmp_path / "adaptive.cfg"
+    cfg.write_text(
+        "run.rounds = 2\n"
+        "data.train_per_class = 50\n"
+        "partition.clients = 2\n"
+        "embed.enabled = true\n"
+        "embed.strength = 1.0\n"
+        "attack.kinds = adaptive\n"
+        "attack.rounds_early = 0, 1\n"
+        "attack.rounds_late = 1, 2\n"
+        "attack.ft_lr = 1e5\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "boom")])
     assert code == EXIT_NUMERIC
 
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from splitmark.attacks import QUANT_SCHEMES
-from splitmark.data import PartitionSpec
+from splitmark.data import PartitionSpec, make_blobs
+from splitmark.linalg import RngStream, StreamLabel
 from splitmark.nn import OptimizerConfig
 from splitmark.watermark import EmbedConfig
 from splitmark.config import (
@@ -154,6 +155,7 @@ _NAN = float("nan")
 _LIBRARY = {
     "partition.sigma": lambda v: PartitionSpec(4, "unbalanced", sigma=v),
     "partition.beta": lambda v: PartitionSpec(4, "dirichlet", beta=v),
+    "data.spread": lambda v: make_blobs(RngStream(0, StreamLabel.DATA), 1, 2, 1, v),
     "embed.strength": lambda v: EmbedConfig(strength=v),
     "embed.epsilon": lambda v: EmbedConfig(strength=0.1, epsilon=v),
     "attack.gamma": lambda v: replace(parse_config("").adaptive_attack(), gamma=v),
@@ -171,6 +173,9 @@ _LIBRARY = {
         ("partition.sigma", math.inf, False),
         ("partition.beta", _NAN, False),
         ("partition.beta", math.inf, False),
+        ("data.spread", 0.0, True),
+        ("data.spread", -1.0, False),
+        ("data.spread", _NAN, False),
         ("embed.strength", _NAN, False),
         ("embed.epsilon", _NAN, False),
         ("attack.gamma", _NAN, False),

@@ -189,3 +189,12 @@ def test_subset_makes_copies():
     sub = ds.subset(np.array([0, 1]))
     sub.inputs[0, 0] = 123.0
     assert ds.inputs[0, 0] != 123.0
+
+
+def test_dataset_rejects_labels_outside_the_classes():
+    # the one label range check: the loss indexes logits by label unchecked
+    x = np.zeros((2, 1))
+    for labels in ([0, -1], np.array([-1, 0], dtype=np.int32), [2, 3], [5, 0]):
+        with pytest.raises(ValueError, match="label outside"):
+            Dataset(x, np.asarray(labels), 3)
+    assert len(Dataset(x, np.array([0, 2]), 3)) == 2

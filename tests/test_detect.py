@@ -156,6 +156,9 @@ def test_build_reference_validation():
     with pytest.raises(ValueError):
         # one epoch on a single row cannot feed a 5-NN calibration
         build_reference(shard.subset(np.array([0])), 1.0, spec, rng, epochs=1)
+    with pytest.raises(ValueError, match="head"):
+        # 3-class shard on a 2-output head
+        build_reference(shard, 0.5, _spec(classes=2), rng)
 
 
 def test_score_round_rejects_bad_shapes():

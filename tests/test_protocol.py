@@ -468,6 +468,9 @@ def test_run_experiment_validation():
         )
     with pytest.raises(ValueError):
         run_experiment(spec, cfg, shards, test, 0, key=None, embed=EmbedConfig(0.1))
+    with pytest.raises(ValueError, match="head"):
+        # 3-class shards on a 2-output head
+        run_experiment(_spec(classes=2), cfg, shards, test, 0)
 
 
 def test_capability_boundary_interfaces():
