@@ -64,9 +64,9 @@ def inject_noise(g: np.ndarray, spec: NoiseSpec, rng: RngStream) -> np.ndarray:
 
     n = z * ||g|| / (sqrt(snr) * ||z||) for z drawn IID standard normal.
     Infinite snr, a zero gradient, or a (measure-zero) zero noise draw all
-    return the gradient unchanged.
+    return the gradient unchanged. g is a finite float64 array, as the
+    server's reply is once grad_reply has checked it.
     """
-    g = as_matrix(g, "gradient")
     if math.isinf(spec.snr):
         return g.copy()
     g_norm = float(np.sqrt((g**2).sum()))

@@ -84,7 +84,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "data.train_per_class": ("int", 500),
     "data.test_per_class": ("int", 50),
     "data.spread": ("float", 0.5),
-    "data.radius": ("float", 1.5),
     "partition.clients": ("int", 10),
     "partition.mode": ("str", "iid"),
     "partition.beta": ("float", 0.5),
@@ -93,11 +92,9 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "model.split": ("int", 2),
     "optimizer.lr": ("float", 0.05),
     "optimizer.momentum": ("float", 0.9),
-    "optimizer.weight_decay": ("float", 0.0),
     "embed.enabled": ("bool", False),
     "embed.strength": ("float", 0.1),
     "embed.bits": ("int", 16),
-    "embed.epsilon": ("float", 1e-12),
     "verify.probes": ("int", 256),
     "verify.tau": ("float", 0.7),
     "noise.enabled": ("bool", False),
@@ -118,10 +115,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "attack.batch_size": ("int", 32),
     "attack.momentum": ("float", 0.9),
     "detector.enabled": ("bool", False),
-    "detector.fraction": ("float", 0.25),
-    "detector.k_nn": ("int", 5),
-    "detector.quantile": ("float", 0.99),
-    "calibrate.keys": ("int", 20),
     "calibrate.models": ("int", 5),
 }
 
@@ -151,7 +144,6 @@ class Config:
         return OptimizerConfig(
             lr=self["optimizer.lr"],
             momentum=self["optimizer.momentum"],
-            weight_decay=self["optimizer.weight_decay"],
         )
 
     def protocol(self) -> ProtocolConfig:
@@ -175,10 +167,7 @@ class Config:
     def embed(self) -> EmbedConfig | None:
         if not self["embed.enabled"]:
             return None
-        return EmbedConfig(
-            strength=self["embed.strength"],
-            epsilon=self["embed.epsilon"],
-        )
+        return EmbedConfig(strength=self["embed.strength"])
 
     def noise(self) -> NoiseSpec | None:
         if not self["noise.enabled"]:
@@ -275,7 +264,6 @@ def _validate(v: dict) -> None:
     check(v["data.train_per_class"] >= 1, "data.train_per_class must be >= 1")
     check(v["data.test_per_class"] >= 0, "data.test_per_class must be >= 0")
     check(v["data.spread"] >= 0.0, "data.spread must be >= 0")
-    check(v["data.radius"] > 0.0, "data.radius must be > 0")
     check(v["partition.clients"] >= 1, "partition.clients must be >= 1")
     check(
         v["partition.mode"] in PARTITION_MODES,
@@ -300,10 +288,8 @@ def _validate(v: dict) -> None:
         )
     check(v["optimizer.lr"] >= 0.0, "optimizer.lr must be >= 0")
     check(0.0 <= v["optimizer.momentum"] < 1.0, "optimizer.momentum must lie in [0, 1)")
-    check(v["optimizer.weight_decay"] >= 0.0, "optimizer.weight_decay must be >= 0")
     check(v["embed.strength"] >= 0.0, "embed.strength must be >= 0")
     check(v["embed.bits"] >= 1, "embed.bits must be >= 1")
-    check(v["embed.epsilon"] > 0.0, "embed.epsilon must be > 0")
     check(v["verify.probes"] >= 1, "verify.probes must be >= 1")
     check(0.0 <= v["verify.tau"] <= 1.0, "verify.tau must lie in [0, 1]")
     check(v["noise.snr"] > 0.0, "noise.snr must be > 0")
@@ -343,10 +329,6 @@ def _validate(v: dict) -> None:
     check(v["attack.ft_lr"] >= 0.0, "attack.ft_lr must be >= 0")
     check(v["attack.batch_size"] >= 1, "attack.batch_size must be >= 1")
     check(0.0 <= v["attack.momentum"] < 1.0, "attack.momentum must lie in [0, 1)")
-    check(0.0 < v["detector.fraction"] <= 1.0, "detector.fraction must lie in (0, 1]")
-    check(v["detector.k_nn"] >= 1, "detector.k_nn must be >= 1")
-    check(0.0 < v["detector.quantile"] < 1.0, "detector.quantile must lie in (0, 1)")
-    check(v["calibrate.keys"] >= 10, "calibrate.keys must be >= 10")
     check(v["calibrate.models"] >= 2, "calibrate.models must be >= 2")
 
     if adaptive and not v["embed.enabled"]:

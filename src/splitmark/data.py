@@ -54,7 +54,7 @@ def make_blobs(
     n_classes: int,
     input_dim: int,
     spread: float,
-    radius: float = 3.0,
+    radius: float = 1.5,
 ) -> Dataset:
     """Gaussian blobs with class means on a radius-scaled hypersphere.
 
@@ -105,7 +105,8 @@ class PartitionSpec:
     """How to split a dataset across clients.
 
     beta is the Dirichlet concentration (dirichlet mode), sigma the
-    log-normal scale (unbalanced mode); each is ignored by other modes.
+    log-normal scale (unbalanced mode); each is ignored by other modes but
+    bounded in all of them.
     """
 
     n_clients: int
@@ -121,10 +122,10 @@ class PartitionSpec:
             raise ValueError(
                 f"unknown partition mode {self.mode!r}, expected one of {PARTITION_MODES}"
             )
-        if self.mode == "dirichlet" and not 0.0 < self.beta < math.inf:
-            raise ValueError("dirichlet beta must be finite and positive")
-        if self.mode == "unbalanced" and not 0.0 <= self.sigma < math.inf:
-            raise ValueError("unbalanced sigma must be finite and >= 0")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and positive")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
 
 
 _MAX_DRAWS = 100

@@ -53,6 +53,7 @@ from .nn import (
 
 __all__ = [
     "MEMORY_ROUNDS",
+    "REFERENCE_FRACTION",
     "DetectorState",
     "build_reference",
     "score_round",
@@ -61,6 +62,9 @@ __all__ = [
 
 # Rounds of received traffic kept as extra reference for the next round.
 MEMORY_ROUNDS = 2
+
+# Share of the detector client's shard that shadow training runs over.
+REFERENCE_FRACTION = 0.25
 
 
 @dataclass

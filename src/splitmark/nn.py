@@ -249,10 +249,10 @@ def forward_full(model: SplitModel, x: np.ndarray) -> np.ndarray:
 
 
 class SgdOptimizer:
-    """SGD with classical momentum and optional decoupled L2 term.
+    """SGD with classical momentum.
 
     Update rule per parameter:
-        v <- momentum * v + g + weight_decay * theta
+        v <- momentum * v + g
         theta <- theta - lr * v
     Each segment is updated as one flat vector (Segment.params), which is
     elementwise the same arithmetic as a per-tensor loop. Velocities start
@@ -260,18 +260,15 @@ class SgdOptimizer:
     seeing the same segments in the same order.
     """
 
-    def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
-        if not (lr >= 0.0 and 0.0 <= momentum < 1.0 and weight_decay >= 0.0):
-            raise ValueError(
-                "optimizer needs lr >= 0, momentum in [0, 1) and weight_decay >= 0"
-            )
+    def __init__(self, lr: float, momentum: float = 0.0):
+        if not (lr >= 0.0 and 0.0 <= momentum < 1.0):
+            raise ValueError("optimizer needs lr >= 0 and momentum in [0, 1)")
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
-        # slot -> (velocity, scratch). The scratch vector takes lr * v and
-        # weight_decay * theta in place: a fresh temporary of a wide
-        # segment's size (0.5 MB at width 256) is often handed back to the
-        # OS and page-faulted in again on every step.
+        # slot -> (velocity, scratch). The scratch vector takes lr * v in
+        # place: a fresh temporary of a wide segment's size (0.5 MB at width
+        # 256) is often handed back to the OS and page-faulted in again on
+        # every step.
         self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, segments: list[Segment], grads: list[np.ndarray]) -> None:
@@ -291,8 +288,6 @@ class SgdOptimizer:
                 self._buffers[slot] = v, scratch
             v *= self.momentum
             v += grad
-            if self.weight_decay:
-                v += np.multiply(param, self.weight_decay, out=scratch)
             param -= np.multiply(v, self.lr, out=scratch)
             if not np.isfinite(param).all():
                 raise NumericalError("non-finite parameter after optimizer step")
@@ -302,10 +297,9 @@ class SgdOptimizer:
 class OptimizerConfig:
     lr: float = 0.05
     momentum: float = 0.9
-    weight_decay: float = 0.0
 
     def build(self) -> SgdOptimizer:
-        return SgdOptimizer(self.lr, self.momentum, self.weight_decay)
+        return SgdOptimizer(self.lr, self.momentum)
 
 
 # Checkpoint format: a line-oriented text file. The header lists each

@@ -423,6 +423,8 @@ def run_experiment(
                 f"client {i} has {shard.n_classes} classes, more than the "
                 f"head's {spec.n_classes}"
             )
+    if test is not None and test.inputs.shape[1] != spec.in_dim:
+        raise ValueError("test set input width does not match the model spec")
     if key is not None and key.d != spec.split_dim:
         raise ValueError(
             f"key dimension {key.d} does not match split width {spec.split_dim}"

@@ -24,11 +24,12 @@ from .attacks import (
 )
 from .config import Config, ConfigError
 from .data import Dataset, make_blobs, partition, split_per_class
-from .detect import build_reference
+from .detect import REFERENCE_FRACTION, DetectorState, build_reference
 from .linalg import RngStream, StreamLabel
 from .nn import SplitModel, accuracy, forward_full, forward_segment, save_model
 from .protocol import RoundMetrics, RunResult, run_experiment
 from .watermark import (
+    CALIBRATION_KEYS,
     WatermarkKey,
     calibrate_threshold,
     keygen,
@@ -40,6 +41,7 @@ __all__ = [
     "METRIC_COLUMNS",
     "build_data",
     "build_shards",
+    "build_detector",
     "execute_run",
     "execute_calibration",
     "run_attacks",
@@ -58,7 +60,6 @@ def build_data(cfg: Config) -> tuple[Dataset, Dataset]:
         cfg["data.classes"],
         cfg["data.input_dim"],
         cfg["data.spread"],
-        cfg["data.radius"],
     )
     return split_per_class(full, cfg["data.test_per_class"])
 
@@ -71,6 +72,20 @@ def build_shards(cfg: Config, train: Dataset) -> list[Dataset]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return [train.subset(i) for i in idx]
+
+
+def build_detector(cfg: Config, shards: list[Dataset]) -> DetectorState:
+    """Calibrate client 0's detector by shadow training on its shard with
+    the clients' optimizer, epochs and batch size."""
+    return build_reference(
+        shards[0],
+        REFERENCE_FRACTION,
+        cfg.split_spec(),
+        RngStream(cfg["run.seed"], StreamLabel.MODEL_INIT, (5,)),
+        opt=cfg.optimizer(),
+        epochs=cfg["run.local_epochs"],
+        batch_size=cfg["run.batch_size"],
+    )
 
 
 def _fmt_cell(value) -> str:
@@ -235,19 +250,7 @@ def execute_run(cfg: Config, out_dir: str | None = None) -> dict:
             RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, cfg["embed.bits"]
         )
 
-    detector = None
-    if cfg["detector.enabled"]:
-        detector = build_reference(
-            shards[0],
-            cfg["detector.fraction"],
-            spec,
-            RngStream(seed, StreamLabel.MODEL_INIT, (5,)),
-            opt=cfg.optimizer(),
-            epochs=cfg["run.local_epochs"],
-            batch_size=cfg["run.batch_size"],
-            k_nn=cfg["detector.k_nn"],
-            quantile=cfg["detector.quantile"],
-        )
+    detector = build_detector(cfg, shards) if cfg["detector.enabled"] else None
 
     res = run_experiment(
         spec,
@@ -298,8 +301,9 @@ def execute_run(cfg: Config, out_dir: str | None = None) -> dict:
 def execute_calibration(cfg: Config, out_dir: str | None = None) -> dict:
     """Train clean models on consecutive seeds and fit the null threshold.
 
-    Embedding is forced off for the training runs; the number of models
-    and keys comes from the calibrate.* keys. Writes calibration.json.
+    Embedding is forced off for the training runs; calibrate.models sets
+    the number of models, each crossed with CALIBRATION_KEYS fresh keys.
+    Writes calibration.json.
     """
     out = out_dir or cfg["run.out"]
     os.makedirs(out, exist_ok=True)
@@ -325,12 +329,11 @@ def execute_calibration(cfg: Config, out_dir: str | None = None) -> dict:
         cfg["embed.bits"],
         RngStream(base_seed, StreamLabel.WATERMARK_KEY, (1,)),
         RngStream(base_seed, StreamLabel.VERIFICATION, (4,)),
-        n_keys=cfg["calibrate.keys"],
         n_samples=cfg["verify.probes"],
     )
     doc = {
         "n_models": cfg["calibrate.models"],
-        "n_keys": cfg["calibrate.keys"],
+        "n_keys": CALIBRATION_KEYS,
         "null_mean": calib.mean,
         "null_std": calib.std,
         "tau_5sigma": calib.tau_5sigma,

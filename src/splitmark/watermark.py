@@ -27,6 +27,7 @@ from .linalg import NumericalError, RngStream, as_matrix, gaussian_matrix
 from .nn import Segment, forward_segment
 
 __all__ = [
+    "CALIBRATION_KEYS",
     "WatermarkKey",
     "EmbedConfig",
     "VerificationReport",
@@ -85,13 +86,10 @@ class EmbedConfig:
     """
 
     strength: float
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if not self.strength >= 0.0:
             raise ValueError(f"strength must be >= 0, got {self.strength}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -175,17 +173,22 @@ def wm_gradient(p: np.ndarray, key: WatermarkKey) -> np.ndarray:
     return coeff @ key.m.T
 
 
+# Added to ||g_wm|| in adaptive_clip's denominator, so a zero watermark
+# gradient gives a finite factor.
+CLIP_EPSILON = 1e-12
+
+
 def adaptive_clip(
     g_wm: np.ndarray, cfg: EmbedConfig, wm_norm: float, main_norm: float
 ) -> np.ndarray:
     """Scale the watermark gradient to at most strength * ||task gradient||.
 
-    factor = min(1, strength * ||g_main|| / (||g_wm|| + epsilon)); the
+    factor = min(1, strength * ||g_main|| / (||g_wm|| + CLIP_EPSILON)); the
     gradient is only ever shrunk, never amplified. wm_norm and main_norm are
     the Frobenius norms of g_wm and of the task gradient g_main, which the
     caller already holds.
     """
-    factor = min(1.0, cfg.strength * main_norm / (wm_norm + cfg.epsilon))
+    factor = min(1.0, cfg.strength * main_norm / (wm_norm + CLIP_EPSILON))
     return g_wm * factor
 
 
@@ -251,12 +254,16 @@ def summarize_null(
     return NullCalibration(wsrs, mean, std, tau, degenerate)
 
 
+# Fresh keys per clean model in a null calibration.
+CALIBRATION_KEYS = 20
+
+
 def calibrate_threshold(
     clean_bottoms: list[Segment],
     k: int,
     key_rng: RngStream,
     probe_rng: RngStream,
-    n_keys: int = 20,
+    n_keys: int = CALIBRATION_KEYS,
     n_samples: int = 256,
 ) -> NullCalibration:
     """Null distribution of WSR over fresh keys crossed with clean models.

@@ -4,6 +4,18 @@ import numpy as np
 
 from splitmark.nn import Segment
 
+# Settings that took one value in every run and are now library constants;
+# a config that still sets one is rejected like any unknown key.
+RETIRED_KEYS = (
+    "data.radius",
+    "optimizer.weight_decay",
+    "embed.epsilon",
+    "detector.fraction",
+    "detector.k_nn",
+    "detector.quantile",
+    "calibrate.keys",
+)
+
 
 def segments_equal(a, b) -> bool:
     """Exact (bitwise) parameter equality between two segments."""

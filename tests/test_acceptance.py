@@ -26,7 +26,7 @@ from splitmark.attacks import finetune, prune, quantize, subspace_penalty
 from splitmark.cli import main as cli_main
 from splitmark.config import Config, load_config, parse_config
 from splitmark.data import Dataset
-from splitmark.detect import DetectorState, build_reference, score_round
+from splitmark.detect import DetectorState, score_round
 from splitmark.linalg import RngStream, StreamLabel, orthonormal_columns
 from splitmark.nn import (
     LayerSpec,
@@ -44,7 +44,7 @@ from splitmark.protocol import (
     run_experiment,
     train_batch,
 )
-from splitmark.runner import build_data, build_shards, run_attacks
+from splitmark.runner import build_data, build_detector, build_shards, run_attacks
 from splitmark.watermark import (
     EmbedConfig,
     calibrate_threshold,
@@ -122,21 +122,6 @@ def _final_wsr(bundle: RunBundle, marker: tuple[int, ...] = (2,)) -> float:
     ).wsr
 
 
-def _detector_for(bundle: RunBundle) -> DetectorState:
-    cfg = bundle.cfg
-    return build_reference(
-        bundle.shards[0],
-        cfg["detector.fraction"],
-        cfg.split_spec(),
-        RngStream(cfg["run.seed"], StreamLabel.MODEL_INIT, (5,)),
-        opt=cfg.optimizer(),
-        epochs=cfg["run.local_epochs"],
-        batch_size=cfg["run.batch_size"],
-        k_nn=cfg["detector.k_nn"],
-        quantile=cfg["detector.quantile"],
-    )
-
-
 @pytest.fixture(scope="module")
 def wm_runs() -> list[RunBundle]:
     """Five-seed desk runs at embedding strength 0.1."""
@@ -155,7 +140,7 @@ def heavy_runs() -> list[RunBundle]:
     out = []
     for s in SEEDS:
         cfg = _desk_cfg(s, 1.0)
-        bundle = _execute(cfg, detector=_detector_for(_execute_stub(cfg)))
+        bundle = _execute(cfg, detector=build_detector(cfg, _execute_stub(cfg).shards))
         out.append(bundle)
     return out
 
@@ -508,7 +493,7 @@ def test_10_detector_flags_only_the_loud_embedding(
     """Mean outlier counts order as clean ~ 0.01 ~ 0.1 < 1.0, the loud arm
     at least doubles the clean mean, and both quiet arms sit inside the
     clean runs' min-max band."""
-    states = {b.cfg["run.seed"]: _detector_for(b) for b in clean_runs}
+    states = {b.cfg["run.seed"]: build_detector(b.cfg, b.shards) for b in clean_runs}
 
     for bundle in heavy_runs:
         st = states[bundle.cfg["run.seed"]]

@@ -19,6 +19,8 @@ from splitmark.linalg import RngStream, StreamLabel
 from splitmark.nn import init_split_model, save_model
 from splitmark.watermark import keygen, save_key
 
+from helpers import RETIRED_KEYS
+
 TINY = """
 run.rounds = 2
 run.local_epochs = 1
@@ -185,6 +187,8 @@ def test_run_argument_validation(tiny_cfg, tmp_path):
     assert (
         main(["run", "--config", tiny_cfg, "--set", "optimizer.lr=slow"]) == EXIT_CONFIG
     )
+    for key in RETIRED_KEYS:
+        assert main(["run", "--config", tiny_cfg, "--set", f"{key}=1"]) == EXIT_CONFIG
     # a skew spec that leaves some client empty on every draw
     skewed = ["partition.clients=10", "partition.mode=unbalanced", "partition.sigma=30"]
     flags = [arg for item in skewed for arg in ("--set", item)]
@@ -195,8 +199,8 @@ def test_run_argument_validation(tiny_cfg, tmp_path):
 def test_divergent_run_exits_numeric(tiny_cfg, tmp_path):
     import numpy as np
 
-    # lr * wd >> 1 flips and inflates every weight each step, so the
-    # parameters overflow to inf within a couple of batches
+    # a learning rate of 1e200 sends the parameters past the float range
+    # within a couple of batches
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(
             [
@@ -206,7 +210,7 @@ def test_divergent_run_exits_numeric(tiny_cfg, tmp_path):
                 "--out",
                 str(tmp_path / "boom"),
                 "--set",
-                "optimizer.weight_decay=1e200",
+                "optimizer.lr=1e200",
             ]
         )
     assert code == EXIT_NUMERIC
@@ -226,7 +230,7 @@ def test_divergent_keyed_run_exits_numeric(tiny_wm_cfg, tmp_path):
                 "--out",
                 str(tmp_path / "boom"),
                 "--set",
-                "optimizer.weight_decay=1e200",
+                "optimizer.lr=1e200",
             ]
         )
     assert code == EXIT_NUMERIC
@@ -269,9 +273,10 @@ def test_same_seed_runs_are_byte_identical(tiny_wm_cfg, tmp_path, capsys):
 # sha256 of the tiny keyed runs' artifacts, recorded before nn's per-layer
 # parameter API was removed (strength 0.5, seed 0) and before the detector's
 # counts moved to RoundMetrics (strength 5.0 with the detector on, 3
-# rounds, seed 3; outlier counts [3, 0, 0]). A change meant to keep
-# artifacts byte-identical must reproduce them; one that changes them on
-# purpose updates them here and tables the new digests.
+# rounds, seed 3; outlier counts [3, 0, 0]). The second run's manifest.json
+# was re-recorded when seven single-valued settings left the config echo.
+# A change meant to keep artifacts byte-identical must reproduce them; one
+# that changes them on purpose updates them here and tables the new digests.
 FROZEN_TINY_RUNS = [
     (
         "embed.strength = 0.5\n",
@@ -287,7 +292,7 @@ FROZEN_TINY_RUNS = [
         ["--seed", "3", "--set", "run.rounds=3"],
         {
             "metrics.csv": "b76e68dbbf59a9bc636b797b19e9caac87d0b4bcd72dbf3086f37d4856d977b6",
-            "manifest.json": "8d17831bd47d570e08757ec07686a22ea35e289095b28ebe6e126ba5726ec4d0",
+            "manifest.json": "fa6df52b878f4047c35da0f6b2b506a9ab1197f0326e809b41c34696a866a18a",
             "model.ckpt": "485438416a47766c2c2173880066e2b733fe0a7265d108960fa5203c74c217b5",
             "key.txt": "248ff5ff07dfb9484a48004f273a503ec0057603883d60a22a4c311dfed6acfe",
         },

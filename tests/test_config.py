@@ -1,12 +1,13 @@
 """Strict key=value config parsing, validation, and object builders."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
 from splitmark.attacks import QUANT_SCHEMES
-from splitmark.data import PartitionSpec, make_blobs
+from splitmark.data import PARTITION_MODES, PartitionSpec, make_blobs
 from splitmark.linalg import RngStream, StreamLabel
 from splitmark.nn import OptimizerConfig
 from splitmark.watermark import EmbedConfig
@@ -18,6 +19,8 @@ from splitmark.config import (
     parse_config,
     parse_override,
 )
+
+from helpers import RETIRED_KEYS
 
 
 def test_empty_text_yields_all_defaults():
@@ -59,6 +62,9 @@ def test_comments_and_blanks_ignored():
 def test_unknown_key_reports_line_number():
     with pytest.raises(ConfigError, match=r"line 2.*bogus\.key"):
         parse_config("run.rounds = 5\nbogus.key = 3\n")
+    for key in RETIRED_KEYS:
+        with pytest.raises(ConfigError, match=rf"line 2.*{re.escape(key)}"):
+            parse_config(f"run.rounds = 5\n{key} = 1\n")
 
 
 def test_duplicate_key_reports_line_number():
@@ -151,13 +157,29 @@ def test_partition_mode_and_attack_kind_vocabulary():
 
 _NAN = float("nan")
 
+
+def _partition_spec_in_every_mode(**kw) -> None:
+    """The config bounds beta and sigma whatever partition.mode is, so every
+    mode's PartitionSpec must accept or reject the value alike."""
+    accepted = set()
+    for mode in PARTITION_MODES:
+        try:
+            PartitionSpec(4, mode, **kw)
+        except ValueError:
+            accepted.add(False)
+        else:
+            accepted.add(True)
+    assert len(accepted) == 1, f"partition modes disagree on {kw}"
+    if not accepted.pop():
+        raise ValueError(f"every partition mode rejects {kw}")
+
+
 # config key -> the library object that must accept and reject alike
 _LIBRARY = {
-    "partition.sigma": lambda v: PartitionSpec(4, "unbalanced", sigma=v),
-    "partition.beta": lambda v: PartitionSpec(4, "dirichlet", beta=v),
+    "partition.sigma": lambda v: _partition_spec_in_every_mode(sigma=v),
+    "partition.beta": lambda v: _partition_spec_in_every_mode(beta=v),
     "data.spread": lambda v: make_blobs(RngStream(0, StreamLabel.DATA), 1, 2, 1, v),
     "embed.strength": lambda v: EmbedConfig(strength=v),
-    "embed.epsilon": lambda v: EmbedConfig(strength=0.1, epsilon=v),
     "attack.gamma": lambda v: replace(parse_config("").adaptive_attack(), gamma=v),
     "optimizer.momentum": lambda v: OptimizerConfig(momentum=v).build(),
 }
@@ -171,13 +193,14 @@ _LIBRARY = {
         pytest.param("partition.sigma", 1.0, True, id="1.0-True"),
         ("partition.sigma", _NAN, False),
         ("partition.sigma", math.inf, False),
+        ("partition.beta", -1.0, False),
+        ("partition.beta", 0.5, True),
         ("partition.beta", _NAN, False),
         ("partition.beta", math.inf, False),
         ("data.spread", 0.0, True),
         ("data.spread", -1.0, False),
         ("data.spread", _NAN, False),
         ("embed.strength", _NAN, False),
-        ("embed.epsilon", _NAN, False),
         ("attack.gamma", _NAN, False),
         ("optimizer.momentum", _NAN, False),
         ("optimizer.momentum", 1.5, False),
@@ -242,12 +265,10 @@ def test_object_builders_pass_values_through():
         "noise.enabled = true\n"
         "noise.snr = 0.25\n"
         "optimizer.lr = 0.02\n"
-        "optimizer.weight_decay = 0.001\n"
         "attack.gamma = 2.5\n"
         "run.seed = 11\n"
     )
     assert cfg.optimizer().lr == 0.02
-    assert cfg.optimizer().weight_decay == 0.001
     assert cfg.embed().strength == 0.7
     assert cfg.noise().snr == 0.25
     assert cfg.adaptive_attack().gamma == 2.5

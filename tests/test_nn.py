@@ -169,13 +169,6 @@ def test_sgd_zero_gradient_no_decay():
     assert seg.layers[0].b[0] == 1.0
 
 
-def test_sgd_weight_decay_pulls_to_zero():
-    seg = _segment((LayerSpec(1, 1, "identity"), np.array([[2.0]]), np.zeros(1)))
-    opt = SgdOptimizer(lr=0.1, weight_decay=0.5)
-    opt.step([seg], [np.zeros(2)])
-    assert np.isclose(seg.layers[0].w[0, 0], 2.0 - 0.1 * 0.5 * 2.0)
-
-
 def test_sgd_rejects_nonfinite_gradient():
     seg = _segment((LayerSpec(1, 1, "identity"), np.array([[1.0]]), np.zeros(1)))
     opt = SgdOptimizer(lr=0.1)
@@ -282,9 +275,9 @@ def test_accuracy():
 
 
 def test_optimizer_config_builds():
-    opt = OptimizerConfig(lr=0.01, momentum=0.5, weight_decay=0.1).build()
+    opt = OptimizerConfig(lr=0.01, momentum=0.5).build()
     assert isinstance(opt, SgdOptimizer)
-    assert opt.lr == 0.01 and opt.momentum == 0.5 and opt.weight_decay == 0.1
+    assert opt.lr == 0.01 and opt.momentum == 0.5
 
 
 # ------------------------------------------------------ flat parameter buffer
@@ -383,17 +376,15 @@ def test_backward_without_input_grad_keeps_parameter_grads_bitwise():
     assert np.array_equal(skipped, full)
 
 
-def _reference_sgd(params, grad_steps, lr, momentum, weight_decay):
+def _reference_sgd(params, grad_steps, lr, momentum):
     """Per-tensor SGD as written before the flat buffer: one velocity per
-    tensor, the same four operations on each."""
+    tensor, the same three operations on each."""
     params = [p.copy() for p in params]
     velocity = [np.zeros_like(p) for p in params]
     for grads in grad_steps:
         for p, v, g in zip(params, velocity, grads):
             v *= momentum
             v += g
-            if weight_decay:
-                v += weight_decay * p
             p -= lr * v
     return params
 
@@ -411,7 +402,7 @@ def test_flat_sgd_is_bitwise_the_per_tensor_update():
                 for s in (bottom, head)
             ]
         )
-    opt = SgdOptimizer(lr=0.07, momentum=0.9, weight_decay=0.013)
+    opt = SgdOptimizer(lr=0.07, momentum=0.9)
     for step_grads in steps:
         # the same values, laid out like each segment's params
         flat = [np.concatenate([np.ravel(t) for pair in g for t in pair]) for g in step_grads]
@@ -421,7 +412,6 @@ def test_flat_sgd_is_bitwise_the_per_tensor_update():
         [[t for seg_grads in s for pair in seg_grads for t in pair] for s in steps],
         0.07,
         0.9,
-        0.013,
     )
     got = [t for s in (bottom, head) for l in s.layers for t in (l.w, l.b)]
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))

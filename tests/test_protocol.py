@@ -281,20 +281,17 @@ def test_server_rejects_task_gradient_whose_norm_overflows(monkeypatch):
 
 
 def test_client_step_rejects_a_weight_that_overflows():
-    # A huge finite head bias keeps the softmax and every gradient finite,
-    # but lr * weight_decay = 3 sends it past the float range in the
+    # Inputs scaled by 100 keep the softmax and every gradient finite, but
+    # lr = 1e308 sends the head weights past the float range in the
     # client's update. The batch must stop there: otherwise the inf stays
     # in the head and, on a round's last batch, is averaged into the model.
     model = init_split_model(_spec(), RngStream(3, StreamLabel.MODEL_INIT))
-    model.head.layers[-1].b[0] = 1e308
     client = ClientWorker(0)
-    client.start_round(
-        model.bottom, model.head, OptimizerConfig(lr=3.0, momentum=0.0, weight_decay=1.0)
-    )
+    client.start_round(model.bottom, model.head, OptimizerConfig(lr=1e308, momentum=0.0))
     server = ServerWorker()
     server.start_round(model.middle, OptimizerConfig())
     shards, _ = _shards(3)
-    x, y = shards[0].inputs[:5], shards[0].labels[:5]
+    x, y = shards[0].inputs[:5] * 100.0, shards[0].labels[:5]
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="parameter"):
         train_batch(client, server, x, y, MessageLog(), 0, 0)
 
@@ -471,6 +468,9 @@ def test_run_experiment_validation():
     with pytest.raises(ValueError, match="head"):
         # 3-class shards on a 2-output head
         run_experiment(_spec(classes=2), cfg, shards, test, 0)
+    _, wide_test = _shards(in_dim=5)
+    with pytest.raises(ValueError, match="test set"):
+        run_experiment(spec, cfg, shards, wide_test, 0)
 
 
 def test_capability_boundary_interfaces():
