@@ -7,6 +7,12 @@ segment is an ordered list of affine layers with relu or identity
 activations. Forward passes record a tape (layer inputs plus
 pre-activations) and backward passes replay it in reverse, so gradients
 are exact up to float64 rounding.
+
+A segment may also hold G replicas of its parameters, one per client of
+a group that trains in lockstep. Every array then gains the same leading
+replica axis: parameters (G, P), batches (G, batch, width), labels
+(G, batch). The same functions serve both layouts, and replica i of a
+stacked call equals, bit for bit, the unstacked call on replica i.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ class Layer(NamedTuple):
     """Affine map y = act(x @ w + b) with w of shape (in_dim, out_dim).
 
     w and b are views into the owning segment's flat parameter buffer;
-    write through them (layer.w[...] = ...) to change the segment.
+    write through them (layer.w[...] = ...) to change the segment. For a
+    stacked segment they carry the replica axis: w (G, in, out), b (G, out).
     """
 
     spec: LayerSpec
@@ -56,7 +63,7 @@ class Segment:
     body. Each layer's w and b are views into it, and gradients from
     backward_segment use the same layout, so optimizer steps, averaging
     and copies are whole-buffer vector operations. The buffer is used as
-    given, not copied.
+    given, not copied. A (G, P) buffer holds G replicas, one per row.
     """
 
     def __init__(self, specs: list[LayerSpec], params: np.ndarray):
@@ -71,16 +78,21 @@ class Segment:
             n_w = spec.in_dim * spec.out_dim
             offsets.append((pos, pos + n_w, pos + n_w + spec.out_dim))
             pos += n_w + spec.out_dim
-        if params.dtype != np.float64 or params.shape != (pos,):
+        if params.dtype != np.float64 or params.ndim > 2 or params.shape[-1:] != (pos,):
             raise ValueError(
-                f"flat parameters must be float64 of shape ({pos},), "
+                f"flat parameters must be float64 of shape ({pos},) or (G, {pos}), "
                 f"got {params.dtype} {params.shape}"
             )
         self.params = params
         # (w_start, b_start, end) per layer, shared with gradient vectors.
         self.offsets = offsets
+        lead = params.shape[:-1]
         self.layers = [
-            Layer(spec, params[w0:b0].reshape(spec.in_dim, spec.out_dim), params[b0:end])
+            Layer(
+                spec,
+                params[..., w0:b0].reshape(lead + (spec.in_dim, spec.out_dim)),
+                params[..., b0:end],
+            )
             for spec, (w0, b0, end) in zip(specs, offsets)
         ]
 
@@ -97,6 +109,14 @@ class Segment:
 
     def copy(self) -> "Segment":
         return Segment(self.specs(), self.params.copy())
+
+    def replicate(self, n: int) -> "Segment":
+        """n copies of a (P,) segment, stacked as one (n, P) segment."""
+        return Segment(self.specs(), np.tile(self.params, (n, 1)))
+
+    def replica(self, i: int) -> "Segment":
+        """Replica i of a stacked segment, as a (P,) segment viewing its row."""
+        return Segment(self.specs(), self.params[i])
 
 
 @dataclass
@@ -117,13 +137,14 @@ def init_segment(specs: list[LayerSpec], rng: RngStream) -> Segment:
 
 
 def forward_segment(seg: Segment, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """Forward pass of a float64 (batch, seg.in_dim) array, taped for backward."""
+    """Forward pass of a float64 (batch, seg.in_dim) array, taped for
+    backward; a stacked segment takes (G, batch, seg.in_dim)."""
     tape = ForwardTape(inputs=[], pre=[])
     out = x
     for layer in seg.layers:
         tape.inputs.append(out)
         z = out @ layer.w
-        z += layer.b
+        z += layer.b[..., None, :]
         tape.pre.append(z)
         out = np.maximum(z, 0.0) if layer.spec.activation == "relu" else z
     return out, tape
@@ -140,8 +161,9 @@ def backward_segment(
 
     tape comes from forward_segment on the same segment, and upstream is
     dLoss/dOutput, a float64 array of the output's shape. Returns
-    (input_gradient, grad), where grad is one float64 vector laid out like
-    seg.params; Segment(seg.specs(), grad).layers views it per layer. The
+    (input_gradient, grad), where grad is one float64 buffer shaped and
+    laid out like seg.params; Segment(seg.specs(), grad).layers views it
+    per layer. The
     loss reduction convention (e.g. batch mean) is whatever the upstream
     gradient already encodes. With need_input_grad=False (a bottom
     segment, whose input is data) the last product is skipped and
@@ -149,7 +171,7 @@ def backward_segment(
     """
     layers = seg.layers
     g = upstream
-    grad = np.empty(seg.params.size)
+    grad = np.empty(seg.params.shape)
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         w0, b0, end = seg.offsets[i]
@@ -157,37 +179,48 @@ def backward_segment(
             dz = g * (tape.pre[i] > 0.0)
         else:
             dz = g
-        np.matmul(tape.inputs[i].T, dz, out=grad[w0:b0].reshape(layer.w.shape))
-        dz.sum(axis=0, out=grad[b0:end])
-        g = dz @ layer.w.T if i or need_input_grad else None
+        np.matmul(
+            tape.inputs[i].swapaxes(-1, -2),
+            dz,
+            out=grad[..., w0:b0].reshape(layer.w.shape),
+        )
+        dz.sum(axis=-2, out=grad[..., b0:end])
+        g = dz @ layer.w.swapaxes(-1, -2) if i or need_input_grad else None
     return g, grad
 
 
-def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy of softmax(logits) against integer labels.
 
     Returns (loss, dLoss/dlogits); the gradient is (softmax - onehot) / batch.
     Shifted by the row max before exponentiation so large logits stay finite.
     labels is an integer array with one entry in [0, n_classes) per row;
-    one outside would index another row's logit.
+    one outside would index another row's logit. Stacked (G, batch,
+    n_classes) logits with (G, batch) labels give one loss per replica, as
+    a (G,) array; a single batch gives a float.
     """
-    batch, n_classes = logits.shape
+    batch, n_classes = logits.shape[-2:]
     # flat positions of the label entries, shared by the loss and the gradient
-    picks = np.arange(0, batch * n_classes, n_classes) + labels
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    picks = np.arange(0, logits.size, n_classes) + labels.ravel()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
-    sums = expz.sum(axis=1, keepdims=True)
+    sums = expz.sum(axis=-1, keepdims=True)
     picked = shifted.ravel()[picks] - np.log(sums.ravel())
-    loss = float(-(picked.sum() / batch))
+    # x / -batch is -(x / batch) exactly: rounding is symmetric in sign.
+    loss = picked.reshape(logits.shape[:-1]).sum(axis=-1)
+    loss /= -batch
     grad = expz / sums
     grad.ravel()[picks] -= 1.0
     grad /= batch
-    return loss, grad
+    return (loss if logits.ndim > 2 else float(loss)), grad
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    hits = np.asarray(logits).argmax(axis=1) == np.asarray(labels)
-    return float(hits.sum() / hits.size)
+def accuracy(logits: np.ndarray, labels: np.ndarray):
+    """Fraction of rows whose argmax is the label; one per replica, as a
+    (G,) array, for stacked logits."""
+    hits = np.asarray(logits).argmax(axis=-1) == np.asarray(labels)
+    acc = hits.sum(axis=-1) / hits.shape[-1]
+    return acc if hits.ndim > 1 else float(acc)
 
 
 @dataclass(frozen=True)
@@ -254,8 +287,9 @@ class SgdOptimizer:
     Update rule per parameter:
         v <- momentum * v + g
         theta <- theta - lr * v
-    Each segment is updated as one flat vector (Segment.params), which is
-    elementwise the same arithmetic as a per-tensor loop. Velocities start
+    Each segment is updated as one flat buffer (Segment.params), which is
+    elementwise the same arithmetic as a per-tensor loop, and for a
+    stacked segment the same as one step per replica. Velocities start
     at zero and are keyed by position, so one optimizer instance must keep
     seeing the same segments in the same order.
     """
@@ -272,8 +306,8 @@ class SgdOptimizer:
         self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, segments: list[Segment], grads: list[np.ndarray]) -> None:
-        """Apply one update; grads[i] is segments[i]'s gradient, one vector
-        laid out like its params, as backward_segment returns it. No
+        """Apply one update; grads[i] is segments[i]'s gradient, one buffer
+        shaped like its params, as backward_segment returns it. No
         segment is touched unless every gradient is finite. A parameter
         that leaves the float range in the update raises NumericalError
         after it."""

@@ -19,7 +19,17 @@ boundary after a run.
 
 Rounds follow the federated pattern: every client trains locally for a
 fixed number of epochs against its own replica of the server segment,
-then both sides are aggregated by shard-size-weighted averaging.
+then both sides are aggregated by shard-size-weighted averaging. The
+clients of a round are independent, so clients with equally long shards,
+which share one batch schedule, train in lockstep as a group: each step
+stacks batch j of every client in the group along a leading replica axis
+and runs the four messages once for all of them, against G replicas of
+the bottom, middle and head segments (see nn). Each client keeps its own
+shuffle and noise streams, its own four logged messages and its own
+BatchStats per batch; stats are kept client by client and FedAvg sums in
+client order, so a run gives the same bits as training the clients one
+after another. IID shards of equal size form one group, a skewed
+partition several, a single client a group of one.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,42 +125,52 @@ class MessageLog:
 
 
 class BatchStats(NamedTuple):
-    """Scalars observed while processing one batch.
+    """Scalars observed while processing one client's batch.
 
-    The server fills the first five in grad_reply; the four watermark
-    fields stay None without a key. The client's loss and accuracy come
-    last and stay None until train_batch adds them, since the server never
-    sees labels.
+    The server observes the first five in grad_reply; the four watermark
+    fields are None without a key. The client's loss and accuracy come
+    last, since the server never sees labels; train_batch joins the two.
     """
 
     g_main_norm: float
-    wm_loss: float | None = None
-    g_wm_raw_norm: float | None = None
-    g_wm_clipped_norm: float | None = None
-    cos_main_wm: float | None = None
-    main_loss: float | None = None
-    train_acc: float | None = None
+    wm_loss: float | None
+    g_wm_raw_norm: float | None
+    g_wm_clipped_norm: float | None
+    cos_main_wm: float | None
+    main_loss: float
+    train_acc: float
+
+
+def _norms(g: np.ndarray) -> list[float]:
+    """Frobenius norm of each replica of a (G, batch, d) stack; each sum of
+    squares runs over one contiguous replica, as (g[i]**2).sum() does."""
+    return list(map(math.sqrt, (g**2).sum(axis=(1, 2)).tolist()))
 
 
 class ClientWorker:
-    """Client party: bottom + head parameters, label access, local updates.
+    """Client party for a group of clients that train in lockstep: their
+    bottom + head replicas, label access, local updates.
 
-    Holds no watermark state of any kind. The optional noise spec models a
-    malicious client perturbing the gradient it applies (the received
+    clients lists the group's client indices; replica i of every stacked
+    array belongs to clients[i]. Holds no watermark state of any kind. The
+    optional noise spec models malicious clients perturbing the gradient
+    they apply, each from its own stream in noise_rngs (the received
     message itself is left untouched).
     """
 
     def __init__(
         self,
-        index: int,
+        clients: Sequence[int],
         noise: NoiseSpec | None = None,
-        noise_rng: RngStream | None = None,
+        noise_rngs: Sequence[RngStream] | None = None,
     ):
-        self.index = index
+        self.clients = tuple(clients)
         self.noise = noise
-        self.noise_rng = noise_rng
-        if noise is not None and noise_rng is None:
-            raise ValueError("noise injection needs a noise stream")
+        self.noise_rngs = noise_rngs
+        if noise is not None and (
+            noise_rngs is None or len(noise_rngs) != len(self.clients)
+        ):
+            raise ValueError("noise injection needs one noise stream per client")
         self.bottom: Segment | None = None
         self.head: Segment | None = None
         self._opt = None
@@ -159,12 +179,13 @@ class ClientWorker:
         self._head_grads = None
 
     def start_round(self, bottom: Segment, head: Segment, opt_cfg: OptimizerConfig):
-        self.bottom = bottom.copy()
-        self.head = head.copy()
+        self.bottom = bottom.replicate(len(self.clients))
+        self.head = head.replicate(len(self.clients))
         self._opt = opt_cfg.build()
         self._tape_bottom = None
 
     def bottom_forward(self, x: np.ndarray) -> np.ndarray:
+        """Activations of a (G, batch, in_dim) stack of the group's batches."""
         if self._tape_bottom is not None:
             raise ProtocolError("previous batch was never completed")
         a, self._tape_bottom = forward_segment(self.bottom, x)
@@ -173,9 +194,9 @@ class ClientWorker:
     def head_step(self, s: np.ndarray, labels: np.ndarray):
         """Run the head on the returned activations and start backprop.
 
-        Returns (loss, batch accuracy, dLoss/dS). The head's own parameter
-        gradients are held back and applied together with the bottom's in
-        apply_final.
+        Returns (losses, batch accuracies, dLoss/dS), the first two as (G,)
+        arrays. The head's own parameter gradients are held back and
+        applied together with the bottom's in apply_final.
         """
         logits, self._tape_head = forward_segment(self.head, s)
         loss, g_logits = softmax_xent(logits, labels)
@@ -189,7 +210,9 @@ class ClientWorker:
             raise ProtocolError("apply_final called before the batch exchange")
         g = g_final
         if self.noise is not None:
-            g = inject_noise(g_final, self.noise, self.noise_rng)
+            g = np.empty_like(g_final)
+            for i, rng in enumerate(self.noise_rngs):
+                g[i] = inject_noise(g_final[i], self.noise, rng)
         _, bottom_grads = backward_segment(
             self.bottom, self._tape_bottom, g, need_input_grad=False
         )
@@ -201,8 +224,9 @@ class ClientWorker:
 class ServerWorker:
     """Server party: middle parameters plus (optionally) the watermark secret.
 
-    Sees only activations and gradients; there is no code path through
-    which labels, inputs, or client parameters could reach it.
+    Keeps one replica of the middle segment per client of the group it
+    serves. Sees only activations and gradients; there is no code path
+    through which labels, inputs, or client parameters could reach it.
     """
 
     def __init__(
@@ -217,8 +241,8 @@ class ServerWorker:
         self._tape = None
         self._activation = None
 
-    def start_round(self, middle: Segment, opt_cfg: OptimizerConfig):
-        self.middle = middle.copy()
+    def start_round(self, middle: Segment, opt_cfg: OptimizerConfig, n_clients: int):
+        self.middle = middle.replicate(n_clients)
         self._opt = opt_cfg.build()
         self._tape = None
 
@@ -230,19 +254,21 @@ class ServerWorker:
         return s
 
     def grad_reply(self, g_initial: np.ndarray):
-        """Update the middle segment and build the gradient sent back.
+        """Update the middle replicas and build the gradients sent back.
 
         The task gradient at the split point is computed from the forward
         tape before the update is applied. When a key is loaded the
         watermark gradient is derived from the stored activations, clipped
-        against the task gradient, and added; with strength exactly zero
-        the reply is the task gradient object itself, so a disabled
-        embedding is bit-identical to the vanilla protocol. The activations
-        are projected onto the key once, and each gradient norm is taken
-        once; loss, gradient, clip and diagnostics all reuse them.
+        against each replica's task gradient, and added; with strength
+        exactly zero the reply is the task gradient object itself, so a
+        disabled embedding is bit-identical to the vanilla protocol. The
+        activations are projected onto the key once, and each gradient norm
+        is taken once; loss, gradient, clip and diagnostics all reuse them.
 
-        Returns the reply and its BatchStats. A non-finite activation or
-        gradient raises NumericalError before anything is sent.
+        Returns the reply and, per replica, the server's five BatchStats
+        fields as a tuple of floats (the watermark ones None without a
+        key). A non-finite activation or gradient in any replica raises
+        NumericalError before anything is sent.
         """
         if self._tape is None:
             raise ProtocolError("grad_reply called before middle_forward")
@@ -250,26 +276,29 @@ class ServerWorker:
         self._opt.step([self.middle], [middle_grads])
         self._tape = None
         a, self._activation = self._activation, None
-        main_norm = math.sqrt((g_main**2).sum())
+        main_norms = _norms(g_main)
+        # A sum of norms is finite only if every norm is: a finite norm is
+        # below 1.4e154, so a few of them cannot overflow.
         if self.key is None:
-            if not math.isfinite(main_norm):
+            if not math.isfinite(sum(main_norms)):
                 raise NumericalError("non-finite task gradient in the server's reply")
-            return g_main, BatchStats(g_main_norm=main_norm)
+            return g_main, [(n, None, None, None, None) for n in main_norms]
         p = project(a, self.key)
         g_wm = wm_gradient(p, self.key)
-        wm_norm = math.sqrt((g_wm**2).sum())
-        # A sum of floats is finite only if every addend is. This one test
-        # covers g_main and g_wm, and so the clipped term, which is g_wm
-        # scaled by a factor in [0, 1].
-        if not math.isfinite(main_norm + wm_norm):
+        wm_norms = _norms(g_wm)
+        # One test covers g_main and g_wm, and so the clipped term, which is
+        # g_wm scaled by a factor in [0, 1].
+        if not math.isfinite(sum(main_norms) + sum(wm_norms)):
             raise NumericalError("non-finite gradient in the server's reply")
-        g_clipped = adaptive_clip(g_wm, self.embed, wm_norm, main_norm)
-        stats = BatchStats(
-            g_main_norm=main_norm,
-            wm_loss=wm_loss(p, self.key),
-            g_wm_raw_norm=wm_norm,
-            g_wm_clipped_norm=math.sqrt((g_clipped**2).sum()),
-            cos_main_wm=cosine(g_main, g_wm),
+        g_clipped = adaptive_clip(g_wm, self.embed, wm_norms, main_norms)
+        stats = list(
+            zip(
+                main_norms,
+                wm_loss(p, self.key).tolist(),
+                wm_norms,
+                _norms(g_clipped),
+                [cosine(gm, gw) for gm, gw in zip(g_main, g_wm)],
+            )
         )
         g_final = g_main
         if self.embed.strength > 0.0:
@@ -285,23 +314,36 @@ def train_batch(
     log: MessageLog,
     round_idx: int,
     batch_idx: int,
-) -> tuple[BatchStats, np.ndarray]:
-    """One full exchange over a batch; returns stats and the final gradient
-    as sent by the server (before any client-side noise)."""
+) -> tuple[list[BatchStats], np.ndarray]:
+    """One full exchange over batch batch_idx of every client in the group.
+
+    x is the (G, batch, in_dim) stack of the group's inputs and y the
+    (G, batch) labels. Each message is logged once per client, with that
+    client's own (batch, width) shape. Returns one BatchStats per client,
+    in the group's order, and the (G, batch, split) final gradients as
+    sent by the server (before any client-side noise).
+    """
+    clients = client.clients
     a = client.bottom_forward(x)
-    log.append(MessageKind.ACTIVATION, round_idx, client.index, batch_idx, a.shape)
+    for ci in clients:
+        log.append(MessageKind.ACTIVATION, round_idx, ci, batch_idx, a.shape[1:])
     s = server.middle_forward(a)
-    log.append(MessageKind.LOGITS, round_idx, client.index, batch_idx, s.shape)
-    loss, acc, g_initial = client.head_step(s, y)
-    log.append(
-        MessageKind.INITIAL_GRADIENT, round_idx, client.index, batch_idx, g_initial.shape
-    )
-    g_final, reply = server.grad_reply(g_initial)
-    log.append(
-        MessageKind.FINAL_GRADIENT, round_idx, client.index, batch_idx, g_final.shape
-    )
+    for ci in clients:
+        log.append(MessageKind.LOGITS, round_idx, ci, batch_idx, s.shape[1:])
+    losses, accs, g_initial = client.head_step(s, y)
+    for ci in clients:
+        log.append(
+            MessageKind.INITIAL_GRADIENT, round_idx, ci, batch_idx, g_initial.shape[1:]
+        )
+    g_final, replies = server.grad_reply(g_initial)
+    for ci in clients:
+        log.append(MessageKind.FINAL_GRADIENT, round_idx, ci, batch_idx, g_final.shape[1:])
     client.apply_final(g_final)
-    return reply._replace(main_loss=loss, train_acc=acc), g_final
+    stats = [
+        BatchStats(*reply, loss, acc)
+        for reply, loss, acc in zip(replies, losses.tolist(), accs.tolist())
+    ]
+    return stats, g_final
 
 
 def fedavg_segments(segments: list[Segment], weights) -> Segment:
@@ -404,7 +446,10 @@ def run_experiment(
     produce bit-identical models, metrics, and logs. Per round, each
     client trains local_epochs passes over its shard against a private
     replica of the server segment; afterwards client and server sides are
-    both averaged with shard-size weights. When a key is given, the
+    both averaged with shard-size weights. Clients whose shards are equally
+    long train in lockstep as one group (see the module docstring); the
+    result is the same, bit for bit, as training them one by one. When a
+    key is given, the
     aggregated bottom is probed after every round with fresh random inputs
     and the match rate is recorded. When a detector state is given, the
     per-sample final gradients received by the detector client are scored
@@ -442,9 +487,21 @@ def run_experiment(
     ]
 
     model = init_split_model(spec, init_rng)
-    clients = [
-        ClientWorker(ci, noise=noise, noise_rng=noise_rngs[ci])
-        for ci in range(n_clients)
+    # Equal shard lengths give equal batch schedules: one lockstep group
+    # per length, in order of each group's first client. A group's shards
+    # are concatenated, so one (G, batch) index array gathers a step's
+    # batches; offsets[i] is where replica i's shard starts.
+    groups: dict[int, list[int]] = {}
+    for ci, shard in enumerate(shards):
+        groups.setdefault(len(shard), []).append(ci)
+    lanes = [
+        (
+            ClientWorker(group, noise, [noise_rngs[ci] for ci in group]),
+            np.concatenate([shards[ci].inputs for ci in group]),
+            np.concatenate([shards[ci].labels for ci in group]),
+            np.arange(0, n * len(group), n)[:, None],
+        )
+        for n, group in groups.items()
     ]
     server = ServerWorker(key=key, embed=embed)
     log = MessageLog()
@@ -455,39 +512,36 @@ def run_experiment(
     grad_rounds: dict[int, np.ndarray] = {}
 
     for t in range(cfg.n_rounds):
-        round_stats: list[BatchStats] = []
-        bottoms, heads, middles = [], [], []
+        # client -> its BatchStats, and its (bottom, middle, head) replicas
+        client_stats: list = [None] * n_clients
+        trained: list = [None] * n_clients
         grad_log_rows: list[np.ndarray] = []
-        for ci, client in enumerate(clients):
+        for client, inputs, labels, offsets in lanes:
+            group = client.clients
             client.start_round(model.bottom, model.head, cfg.opt)
-            server.start_round(model.middle, cfg.opt)
-            shard = shards[ci]
-            batch_idx = 0
+            server.start_round(model.middle, cfg.opt, len(group))
+            n = len(shards[group[0]])
+            # the detector client's replica, if it is in this group
+            watched = group.index(cfg.detector_client) if cfg.detector_client in group else None
+            steps: list[list[BatchStats]] = []
             for _ in range(cfg.local_epochs):
-                order = shuffle_rngs[ci].permutation(len(shard))
-                for start in range(0, len(shard), cfg.batch_size):
-                    sel = order[start : start + cfg.batch_size]
+                order = np.stack([shuffle_rngs[ci].permutation(n) for ci in group])
+                order += offsets
+                for start in range(0, n, cfg.batch_size):
+                    sel = order[:, start : start + cfg.batch_size]
                     stats, g_final = train_batch(
-                        client,
-                        server,
-                        shard.inputs[sel],
-                        shard.labels[sel],
-                        log,
-                        t,
-                        batch_idx,
+                        client, server, inputs[sel], labels[sel], log, t, len(steps)
                     )
-                    batch_idx += 1
-                    round_stats.append(stats)
-                    if ci == cfg.detector_client:
-                        grad_log_rows.append(g_final)
-            bottoms.append(client.bottom)
-            heads.append(client.head)
-            middles.append(server.middle)
-        model = SplitModel(
-            fedavg_segments(bottoms, weights),
-            fedavg_segments(middles, weights),
-            fedavg_segments(heads, weights),
-        )
+                    steps.append(stats)
+                    if watched is not None:
+                        grad_log_rows.append(g_final[watched])
+            for i, (ci, stats) in enumerate(zip(group, zip(*steps))):
+                client_stats[ci] = stats
+                trained[ci] = tuple(
+                    seg.replica(i) for seg in (client.bottom, server.middle, client.head)
+                )
+        model = SplitModel(*(fedavg_segments(segs, weights) for segs in zip(*trained)))
+        round_stats = [st for stats in client_stats for st in stats]
 
         test_acc = None
         if test is not None and len(test) > 0:

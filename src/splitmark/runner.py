@@ -76,16 +76,20 @@ def build_shards(cfg: Config, train: Dataset) -> list[Dataset]:
 
 def build_detector(cfg: Config, shards: list[Dataset]) -> DetectorState:
     """Calibrate client 0's detector by shadow training on its shard with
-    the clients' optimizer, epochs and batch size."""
-    return build_reference(
-        shards[0],
-        REFERENCE_FRACTION,
-        cfg.split_spec(),
-        RngStream(cfg["run.seed"], StreamLabel.MODEL_INIT, (5,)),
-        opt=cfg.optimizer(),
-        epochs=cfg["run.local_epochs"],
-        batch_size=cfg["run.batch_size"],
-    )
+    the clients' optimizer, epochs and batch size. A shard too small to
+    calibrate on is a config problem and raises ConfigError."""
+    try:
+        return build_reference(
+            shards[0],
+            REFERENCE_FRACTION,
+            cfg.split_spec(),
+            RngStream(cfg["run.seed"], StreamLabel.MODEL_INIT, (5,)),
+            opt=cfg.optimizer(),
+            epochs=cfg["run.local_epochs"],
+            batch_size=cfg["run.batch_size"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"detector: {exc}") from None
 
 
 def _fmt_cell(value) -> str:

@@ -13,6 +13,8 @@ The embedding gradient has closed form. With P = A @ M and
 C = (sigmoid(P) - b) / (batch * k), the gradient of the mean BCE with
 respect to A is C @ M^T, so every row lies in the span of M's columns.
 Loss and gradient are both computed from P, which project() forms once.
+A stacked (G, batch, d) activation batch, one per client of a lockstep
+group, gives one loss, gradient and clip factor per replica.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ def _sigmoid(p: np.ndarray) -> np.ndarray:
 
 
 def project(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
-    """Return the projections A @ M of a float64 (batch, key.d) activation batch.
+    """Return the projections A @ M of a float64 (batch, key.d) activation
+    batch, or of a (G, batch, key.d) stack.
 
     wm_loss and wm_gradient both take this matrix, so a caller that needs
     the loss and the gradient checks A and multiplies by M once. Non-finite
@@ -151,15 +154,17 @@ def project(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
     return a_flat @ key.m
 
 
-def wm_loss(p: np.ndarray, key: WatermarkKey) -> float:
+def wm_loss(p: np.ndarray, key: WatermarkKey):
     """Mean binary cross-entropy between sigmoid(P) and the key bits, where
     P = project(A, key).
 
     Uses the standard overflow-safe form
-    max(p, 0) - p * b + log(1 + exp(-|p|)), averaged over batch and bits.
+    max(p, 0) - p * b + log(1 + exp(-|p|)), averaged over batch and bits:
+    a float, or a (G,) array with one mean per replica of a stack.
     """
     losses = np.maximum(p, 0.0) - p * key.bits + np.log1p(np.exp(-np.abs(p)))
-    return float(losses.sum() / losses.size)
+    mean = losses.sum(axis=(-2, -1)) / (p.shape[-2] * p.shape[-1])
+    return mean if p.ndim > 2 else float(mean)
 
 
 def wm_gradient(p: np.ndarray, key: WatermarkKey) -> np.ndarray:
@@ -169,7 +174,7 @@ def wm_gradient(p: np.ndarray, key: WatermarkKey) -> np.ndarray:
     Returns (sigmoid(P) - b) / (batch * k) @ M^T; each row is a linear
     combination of key columns, so the whole tensor lies in span(M).
     """
-    coeff = (_sigmoid(p) - key.bits) / (p.shape[0] * key.k)
+    coeff = (_sigmoid(p) - key.bits) / (p.shape[-2] * key.k)
     return coeff @ key.m.T
 
 
@@ -178,18 +183,19 @@ def wm_gradient(p: np.ndarray, key: WatermarkKey) -> np.ndarray:
 CLIP_EPSILON = 1e-12
 
 
-def adaptive_clip(
-    g_wm: np.ndarray, cfg: EmbedConfig, wm_norm: float, main_norm: float
-) -> np.ndarray:
+def adaptive_clip(g_wm: np.ndarray, cfg: EmbedConfig, wm_norm, main_norm) -> np.ndarray:
     """Scale the watermark gradient to at most strength * ||task gradient||.
 
     factor = min(1, strength * ||g_main|| / (||g_wm|| + CLIP_EPSILON)); the
     gradient is only ever shrunk, never amplified. wm_norm and main_norm are
     the Frobenius norms of g_wm and of the task gradient g_main, which the
-    caller already holds.
+    caller already holds: floats for one (batch, d) gradient, or sequences
+    of per-replica norms for a (G, batch, d) stack, each replica scaled by
+    its own factor.
     """
-    factor = min(1.0, cfg.strength * main_norm / (wm_norm + CLIP_EPSILON))
-    return g_wm * factor
+    pairs = zip(wm_norm, main_norm) if g_wm.ndim > 2 else [(wm_norm, main_norm)]
+    factors = np.array([min(1.0, cfg.strength * m / (w + CLIP_EPSILON)) for w, m in pairs])
+    return g_wm * factors.reshape(g_wm.shape[:-2] + (1, 1))
 
 
 def compose(g_main: np.ndarray, g_wm_clipped: np.ndarray) -> np.ndarray:

@@ -585,13 +585,13 @@ def test_12_parties_exchange_only_boundary_tensors(wm_runs):
         head=(LayerSpec(64, 4, "identity"),),
     )
     model = init_split_model(spec, RngStream(9, StreamLabel.MODEL_INIT))
-    client = ClientWorker(0)
+    client = ClientWorker([0])
     server = ServerWorker(key, EmbedConfig(strength=0.5))
     client.start_round(model.bottom, model.head, parse_config("").optimizer())
-    server.start_round(model.middle, parse_config("").optimizer())
+    server.start_round(model.middle, parse_config("").optimizer(), 1)
     rng = RngStream(9, StreamLabel.DATA)
-    x = rng.normal(6 * 8).reshape(6, 8)
-    y = rng.integers(0, 4, 6)
+    x = rng.normal(6 * 8).reshape(1, 6, 8)
+    y = rng.integers(0, 4, 6).reshape(1, 6)
     train_batch(client, server, x, y, MessageLog(), 0, 0)
 
     server_attrs = vars(server)

@@ -194,6 +194,11 @@ def test_run_argument_validation(tiny_cfg, tmp_path):
     flags = [arg for item in skewed for arg in ("--set", item)]
     out = ["--out", str(tmp_path / "skewed")]
     assert main(["run", "--config", tiny_cfg, *out, *flags]) == EXIT_CONFIG
+    # a detector on a client 0 with 3 samples, too few to calibrate on
+    small = ["partition.clients=10", "partition.mode=unbalanced", "detector.enabled=true"]
+    flags = [arg for item in small for arg in ("--set", item)]
+    out = ["--out", str(tmp_path / "small"), "--seed", "1"]
+    assert main(["run", "--config", tiny_cfg, *out, *flags]) == EXIT_CONFIG
 
 
 def test_divergent_run_exits_numeric(tiny_cfg, tmp_path):
@@ -275,6 +280,12 @@ def test_same_seed_runs_are_byte_identical(tiny_wm_cfg, tmp_path, capsys):
 # counts moved to RoundMetrics (strength 5.0 with the detector on, 3
 # rounds, seed 3; outlier counts [3, 0, 0]). The second run's manifest.json
 # was re-recorded when seven single-valued settings left the config echo.
+# The last two were recorded before clients with equally long shards began
+# to train in lockstep groups, to pin runs whose groups are not one block
+# of every client: 4 clients with shards of 23/23/22/22, two groups of two
+# with a noise stream per client; and an unbalanced split of 10 clients
+# with shards 3,3,3,3,39,3,3,3,27,3, a non-contiguous group of eight that
+# holds client 0 plus two singletons.
 # A change meant to keep artifacts byte-identical must reproduce them; one
 # that changes them on purpose updates them here and tables the new digests.
 FROZEN_TINY_RUNS = [
@@ -297,11 +308,31 @@ FROZEN_TINY_RUNS = [
             "key.txt": "248ff5ff07dfb9484a48004f273a503ec0057603883d60a22a4c311dfed6acfe",
         },
     ),
+    (
+        "embed.strength = 0.5\nnoise.enabled = true\nnoise.snr = 1.0\n",
+        ["--seed", "1", "--set", "partition.clients=4"],
+        {
+            "metrics.csv": "2eb207a39a257f8a27ac44f6a20b96ed8ba251c85467f455ff67b6558efc5c4d",
+            "manifest.json": "c920e516765e3f51a7b79d290d59898fcb2009751e6445a99777661e7db311bb",
+            "model.ckpt": "aeb5e3ee27d7770007bd80cf559021892bb7b521c397ef6c43191f0b536a945c",
+            "key.txt": "ef2214568c8d4b8366cdc80eea0ee63dcd1605d58bfaae077fb43b2e1331925a",
+        },
+    ),
+    (
+        "embed.strength = 0.5\npartition.mode = unbalanced\n",
+        ["--seed", "1", "--set", "partition.clients=10"],
+        {
+            "metrics.csv": "0a94a97a0a5ab27612aee382e20ca371df3aeb40bae8182f969b5d4fca928684",
+            "manifest.json": "23207004e7c4ebe3377939d3b726e0489d64b810cbee8b6da46e547533dc6e0e",
+            "model.ckpt": "2f95df229af9667d490597bc6d258e7a1889d9072ef05f1502acf1ae94fdc2b4",
+            "key.txt": "ef2214568c8d4b8366cdc80eea0ee63dcd1605d58bfaae077fb43b2e1331925a",
+        },
+    ),
 ]
 
 
 def test_tiny_keyed_run_artifacts_are_frozen(tmp_path, capsys):
-    # 2 clients with embedding on; the second run also scores every round
+    # embedding on in every run; the second run also scores every round
     for i, (extra, flags, digests) in enumerate(FROZEN_TINY_RUNS):
         cfg, out = tmp_path / f"tiny{i}.cfg", str(tmp_path / f"run{i}")
         cfg.write_text(TINY + "embed.enabled = true\n" + extra)

@@ -437,3 +437,68 @@ def test_sgd_nan_in_last_bias_of_second_segment_raises_and_updates_nothing():
     with pytest.raises(NumericalError):
         opt.step([second], [flat_grads])
     assert np.array_equal(second.params, snapshot[1])
+
+
+# ------------------------------------------------------------- replica axis
+
+
+@pytest.mark.parametrize("g", [1, 3])
+@pytest.mark.parametrize("batch", [4, 5])
+def test_stacked_replicas_are_bitwise_separate_calls(g, batch):
+    # A (G, P) segment runs forward, backward, loss, accuracy and SGD as G
+    # separate (P,) calls would, bit for bit; batch 5 is a ragged last batch.
+    rng = RngStream(9, StreamLabel.MODEL_INIT)
+    specs = [LayerSpec(4, 6), LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "identity")]
+    singles = [init_segment(specs, rng.child(i)) for i in range(g)]
+    stacked = Segment(specs, np.stack([s.params for s in singles]))
+    x = rng.normal(g * batch * 4).reshape(g, batch, 4)
+    labels = (rng.uniform(g * batch) * 3).astype(np.int64).reshape(g, batch)
+    opt_stacked, opt_single = SgdOptimizer(0.1, 0.9), [SgdOptimizer(0.1, 0.9) for _ in range(g)]
+    for _ in range(2):  # the second step runs on non-zero momentum
+        out, tape = forward_segment(stacked, x)
+        loss, g_logits = softmax_xent(out, labels)
+        acc = accuracy(out, labels)
+        g_in, grad = backward_segment(stacked, tape, g_logits)
+        assert loss.shape == acc.shape == (g,) and grad.shape == stacked.params.shape
+        for i, seg in enumerate(singles):
+            out_i, tape_i = forward_segment(seg, x[i])
+            loss_i, g_logits_i = softmax_xent(out_i, labels[i])
+            g_in_i, grad_i = backward_segment(seg, tape_i, g_logits_i)
+            assert np.array_equal(out[i], out_i)
+            assert loss[i] == loss_i and acc[i] == accuracy(out_i, labels[i])
+            assert np.array_equal(g_logits[i], g_logits_i)
+            assert np.array_equal(g_in[i], g_in_i) and np.array_equal(grad[i], grad_i)
+            opt_single[i].step([seg], [grad_i])
+        opt_stacked.step([stacked], [grad])
+        for i, seg in enumerate(singles):
+            assert np.array_equal(stacked.params[i], seg.params)
+
+
+def test_stacked_layer_views_write_through_to_each_replica():
+    seg = _random_segment(RngStream(3, StreamLabel.MODEL_INIT), [3, 4, 2]).replicate(2)
+    assert seg.params.shape == (2, 3 * 4 + 4 + 4 * 2 + 2)
+    first, second = seg.layers
+    assert first.w.shape == (2, 3, 4) and second.b.shape == (2, 2)
+    first.w[1, 2, 3] = 7.0
+    second.b[0] = [5.0, 6.0]
+    assert seg.params[1, 2 * 4 + 3] == 7.0
+    assert np.array_equal(seg.params[0, -2:], [5.0, 6.0])
+    replica = seg.replica(1)
+    assert replica.params.shape == (seg.params.shape[1],)
+    assert np.shares_memory(replica.params, seg.params)
+    assert replica.layers[0].w[2, 3] == 7.0
+    with pytest.raises(ValueError, match="shape"):
+        Segment(seg.specs(), np.zeros((1, 2) + seg.params.shape[1:]))
+
+
+def test_sgd_non_finite_gradient_in_one_replica_updates_no_replica():
+    rng = RngStream(8, StreamLabel.MODEL_INIT)
+    seg = _random_segment(rng, [3, 4, 2]).replicate(3)
+    snapshot = seg.params.copy()
+    out, tape = forward_segment(seg, rng.normal(3 * 2 * 3).reshape(3, 2, 3))
+    _, grads = backward_segment(seg, tape, np.ones_like(out))
+    grads[2, 5] = np.nan
+    opt = SgdOptimizer(lr=0.1, momentum=0.9)
+    with pytest.raises(NumericalError):
+        opt.step([seg], [grads])
+    assert np.array_equal(seg.params, snapshot)

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from splitmark.config import parse_config
 from splitmark.data import PartitionSpec, make_blobs, partition, split_per_class
 from splitmark import protocol
 from splitmark.linalg import NumericalError, RngStream, StreamLabel, cosine
 from splitmark.nn import (
     LayerSpec,
     OptimizerConfig,
+    SplitModel,
     SplitSpec,
     backward_segment,
     forward_segment,
@@ -37,6 +39,7 @@ from splitmark.watermark import (
     wm_loss,
 )
 from splitmark.attacks import NoiseSpec
+from splitmark.runner import build_data, build_shards
 
 from helpers import segment_of, segments_equal
 
@@ -103,13 +106,13 @@ def test_final_gradient_decomposes():
         ("plain", ServerWorker()),
         ("keyed", ServerWorker(key=key, embed=embed)),
     ):
-        client = ClientWorker(0)
+        client = ClientWorker([0])
         client.start_round(model.bottom, model.head, opt)
-        srv.start_round(model.middle, opt)
+        srv.start_round(model.middle, opt, 1)
         log = MessageLog()
-        stats, g_final = train_batch(client, srv, x, y, log, 0, 0)
+        stats, g_final = train_batch(client, srv, x[None], y[None], log, 0, 0)
         a, _ = forward_segment(model.bottom, x)
-        outs[tag] = (g_final, a)
+        outs[tag] = (g_final[0], a)
 
     g_main, a = outs["plain"]
     g_keyed, _ = outs["keyed"]
@@ -122,7 +125,7 @@ def _server(key=None, embed=None, seed=3):
     """A server whose round has started from a fresh model, and that model."""
     model = init_split_model(_spec(), RngStream(seed, StreamLabel.MODEL_INIT))
     server = ServerWorker(key=key, embed=embed)
-    server.start_round(model.middle, OptimizerConfig())
+    server.start_round(model.middle, OptimizerConfig(), 1)
     return server, model
 
 
@@ -156,21 +159,15 @@ def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch)
         return out
 
     monkeypatch.setattr(protocol, "backward_segment", recording_backward)
-    server.middle_forward(a)
-    g_final, stats = server.grad_reply(g_initial)
+    server.middle_forward(a[None])
+    g_final, (stats,) = server.grad_reply(g_initial[None])
 
     _, tape = forward_segment(model.middle, a)
     g_main, _ = backward_segment(model.middle, tape, g_initial)
     p = project(a, key)
     g_wm = wm_gradient(p, key)
     g_clipped = adaptive_clip(g_wm, embed, _norm(g_wm), _norm(g_main))
-    assert (
-        stats.g_main_norm,
-        stats.wm_loss,
-        stats.g_wm_raw_norm,
-        stats.g_wm_clipped_norm,
-        stats.cos_main_wm,
-    ) == (
+    assert stats == (
         _norm(g_main),
         wm_loss(p, key),
         _norm(g_wm),
@@ -178,27 +175,27 @@ def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch)
         cosine(g_main, g_wm),
     )
     assert all(type(v) is float for v in stats[:5])
-    assert stats.main_loss is None and stats.train_acc is None  # no labels here
-    assert (stats.g_wm_clipped_norm < stats.g_wm_raw_norm) == binds
-    assert np.array_equal(sent[0], g_main)
+    assert len(stats) == 5  # no loss or accuracy: no labels here
+    assert (stats[3] < stats[2]) == binds  # clipped vs raw watermark norm
+    assert np.array_equal(sent[0][0], g_main)
     if embed.strength == 0.0:
         assert g_final is sent[0]
     else:
-        assert np.array_equal(g_final, compose(g_main, g_clipped))
+        assert np.array_equal(g_final[0], compose(g_main, g_clipped))
 
 
 def test_train_batch_adds_the_client_fields_to_the_reply(monkeypatch):
     # The batch record is the server's, with only the client's loss and
     # accuracy filled in.
     server, model = _server(_key(), EmbedConfig(strength=0.1))
-    reply = protocol.BatchStats(1.0, 2.0, 3.0, 4.0, 5.0)
+    reply = (1.0, 2.0, 3.0, 4.0, 5.0)
     real_reply = server.grad_reply
-    monkeypatch.setattr(server, "grad_reply", lambda g: (real_reply(g)[0], reply))
-    client = ClientWorker(0)
+    monkeypatch.setattr(server, "grad_reply", lambda g: (real_reply(g)[0], [reply]))
+    client = ClientWorker([0])
     client.start_round(model.bottom, model.head, OptimizerConfig())
     shards, _ = _shards(3)
     x, y = shards[0].inputs[:5], shards[0].labels[:5]
-    stats, _ = train_batch(client, server, x, y, MessageLog(), 0, 0)
+    (stats,), _ = train_batch(client, server, x[None], y[None], MessageLog(), 0, 0)
     assert stats[:5] == reply[:5]
     assert type(stats.main_loss) is float and 0.0 <= stats.train_acc <= 1.0
 
@@ -219,11 +216,11 @@ def test_each_watermark_span_runs_once_per_keyed_batch(keyed, monkeypatch):
 
         monkeypatch.setattr(protocol, name, counted)
     server, model = _server(*((_key(), EmbedConfig(strength=0.1)) if keyed else ()))
-    client = ClientWorker(0)
+    client = ClientWorker([0])
     client.start_round(model.bottom, model.head, OptimizerConfig())
     shards, _ = _shards(3)
     x, y = shards[0].inputs[:5], shards[0].labels[:5]
-    stats, _ = train_batch(client, server, x, y, MessageLog(), 0, 0)
+    (stats,), _ = train_batch(client, server, x[None], y[None], MessageLog(), 0, 0)
     assert counts == dict.fromkeys(_BENCH_SPANS, 1 if keyed else 0)
     assert (stats.wm_loss is not None) == keyed
 
@@ -236,9 +233,9 @@ def test_keyed_server_rejects_non_finite_activations(bad):
     a = np.ones((5, d))
     a[2, 3] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        server.middle_forward(a)
+        server.middle_forward(a[None])
         with pytest.raises(NumericalError):
-            server.grad_reply(np.ones((5, d)))
+            server.grad_reply(np.ones((1, 5, d)))
     with pytest.raises(NumericalError):
         project(a, key)
 
@@ -249,13 +246,13 @@ def test_server_rejects_non_finite_task_gradient(keyed):
     # update, but the task gradient at the cut (twice that weight)
     # overflows; the reply must stop there, keyed or not.
     server, _ = _server(*((_key(), EmbedConfig(strength=0.1)) if keyed else ()))
-    server.middle.layers[0].w[1, 2] = 1e308
+    server.middle.layers[0].w[0, 1, 2] = 1e308
     d = _spec().split_dim
-    a = np.abs(RngStream(3, StreamLabel.DATA, (8,)).normal(5 * d)).reshape(5, d)
+    a = np.abs(RngStream(3, StreamLabel.DATA, (8,)).normal(5 * d)).reshape(1, 5, d)
     with np.errstate(invalid="ignore", over="ignore"):
         server.middle_forward(a)
         with pytest.raises(NumericalError, match="server's reply"):
-            server.grad_reply(np.full((5, d), 2.0))
+            server.grad_reply(np.full((1, 5, d), 2.0))
     assert np.isfinite(server.middle.params).all()
 
 
@@ -269,14 +266,14 @@ def test_server_rejects_task_gradient_whose_norm_overflows(monkeypatch):
     def huge_backward(*args, **kw):
         g_main, grads = backward_segment(*args, **kw)
         g_main = g_main.copy()
-        g_main[1, 2] = 1e200
+        g_main[0, 1, 2] = 1e200
         sent.append(g_main)
         return g_main, grads
 
     monkeypatch.setattr(protocol, "backward_segment", huge_backward)
-    server.middle_forward(np.ones((5, d)))
+    server.middle_forward(np.ones((1, 5, d)))
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="server's reply"):
-        server.grad_reply(np.ones((5, d)))
+        server.grad_reply(np.ones((1, 5, d)))
     assert np.isfinite(sent[0]).all()
 
 
@@ -286,14 +283,14 @@ def test_client_step_rejects_a_weight_that_overflows():
     # client's update. The batch must stop there: otherwise the inf stays
     # in the head and, on a round's last batch, is averaged into the model.
     model = init_split_model(_spec(), RngStream(3, StreamLabel.MODEL_INIT))
-    client = ClientWorker(0)
+    client = ClientWorker([0])
     client.start_round(model.bottom, model.head, OptimizerConfig(lr=1e308, momentum=0.0))
     server = ServerWorker()
-    server.start_round(model.middle, OptimizerConfig())
+    server.start_round(model.middle, OptimizerConfig(), 1)
     shards, _ = _shards(3)
     x, y = shards[0].inputs[:5] * 100.0, shards[0].labels[:5]
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="parameter"):
-        train_batch(client, server, x, y, MessageLog(), 0, 0)
+        train_batch(client, server, x[None], y[None], MessageLog(), 0, 0)
 
 
 def test_fedavg_single_model_unchanged():
@@ -441,15 +438,15 @@ def test_server_worker_requires_key_and_embed_together():
 
 
 def test_client_sequencing_errors():
-    client = ClientWorker(0)
+    client = ClientWorker([0])
     spec = _spec()
     model = init_split_model(spec, RngStream(0, StreamLabel.MODEL_INIT))
     client.start_round(model.bottom, model.head, OptimizerConfig())
     with pytest.raises(ProtocolError):
-        client.apply_final(np.zeros((5, spec.split_dim)))
-    client.bottom_forward(np.zeros((5, 4)))
+        client.apply_final(np.zeros((1, 5, spec.split_dim)))
+    client.bottom_forward(np.zeros((1, 5, 4)))
     with pytest.raises(ProtocolError):
-        client.bottom_forward(np.zeros((5, 4)))
+        client.bottom_forward(np.zeros((1, 5, 4)))
 
 
 def test_run_experiment_validation():
@@ -479,5 +476,78 @@ def test_capability_boundary_interfaces():
     server_attrs = set(vars(ServerWorker()).keys())
     assert {"key", "embed", "middle"} <= server_attrs
     assert not {"labels", "inputs", "bottom", "head"} & server_attrs
-    client_attrs = set(vars(ClientWorker(0)).keys())
+    client_attrs = set(vars(ClientWorker([0])).keys())
     assert not {"key", "embed", "bits", "strength"} & client_attrs
+
+
+# An unbalanced split whose shards are 3,3,3,3,39,3,3,3,27,3: client 0
+# trains in a non-contiguous lockstep group of eight, beside two singletons.
+_SKEWED = """
+run.seed = 1
+run.rounds = 2
+run.local_epochs = 2
+run.batch_size = 10
+data.classes = 3
+data.input_dim = 4
+data.train_per_class = 30
+data.test_per_class = 5
+partition.clients = 10
+partition.mode = unbalanced
+model.widths = 8,8
+model.split = 1
+"""
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec(snr=1.0)], ids=["quiet", "noisy"])
+def test_lockstep_groups_match_clients_trained_one_by_one(noise):
+    cfg = parse_config(_SKEWED)
+    train, test = build_data(cfg)
+    shards = build_shards(cfg, train)
+    assert [len(s) for s in shards] == [3, 3, 3, 3, 39, 3, 3, 3, 27, 3]
+    spec, pcfg, seed = cfg.split_spec(), cfg.protocol(), 1
+    key = keygen(RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, 4)
+    embed = EmbedConfig(strength=0.5)
+    res = run_experiment(spec, pcfg, shards, test, seed, key=key, embed=embed, noise=noise)
+
+    # The reference drives the party classes one client at a time, in
+    # client order, each client a group of one with its own streams.
+    shuffles = [RngStream(seed, StreamLabel.DATA, (2, ci)) for ci in range(len(shards))]
+    clients = [
+        ClientWorker([ci], noise, [RngStream(seed, StreamLabel.NOISE, (ci,))])
+        for ci in range(len(shards))
+    ]
+    server = ServerWorker(key=key, embed=embed)
+    model = init_split_model(spec, RngStream(seed, StreamLabel.MODEL_INIT))
+    stats, rows = [], {}
+    for t in range(pcfg.n_rounds):
+        trained = []
+        for ci, (client, shard) in enumerate(zip(clients, shards)):
+            client.start_round(model.bottom, model.head, pcfg.opt)
+            server.start_round(model.middle, pcfg.opt, 1)
+            batch_idx = 0
+            for _ in range(pcfg.local_epochs):
+                order = shuffles[ci].permutation(len(shard))
+                for start in range(0, len(shard), pcfg.batch_size):
+                    sel = order[start : start + pcfg.batch_size]
+                    x, y = shard.inputs[sel][None], shard.labels[sel][None]
+                    (st,), g_final = train_batch(
+                        client, server, x, y, MessageLog(), t, batch_idx
+                    )
+                    batch_idx += 1
+                    stats.append(st)
+                    if ci == pcfg.detector_client:
+                        rows.setdefault(t, []).append(g_final[0])
+            trained.append(
+                [seg.replica(0) for seg in (client.bottom, server.middle, client.head)]
+            )
+        weights = [len(s) for s in shards]
+        model = SplitModel(*(fedavg_segments(list(s), weights) for s in zip(*trained)))
+
+    assert res.batch_stats == stats  # client-major, bit for bit
+    assert sorted(res.grad_rounds) == sorted(rows)
+    for t, got in rows.items():
+        assert np.array_equal(res.grad_rounds[t], np.vstack(got))
+    for name in ("bottom", "middle", "head"):
+        assert segments_equal(getattr(res.model, name), getattr(model, name))
+    res.message_log.verify_ordering()
+    assert len(res.message_log.messages) == 4 * len(stats)
