@@ -515,16 +515,19 @@ def run_experiment(
         # client -> its BatchStats, and its (bottom, middle, head) replicas
         client_stats: list = [None] * n_clients
         trained: list = [None] * n_clients
-        grad_log_rows: list[np.ndarray] = []
         for client, inputs, labels, offsets in lanes:
             group = client.clients
             client.start_round(model.bottom, model.head, cfg.opt)
             server.start_round(model.middle, cfg.opt, len(group))
             n = len(shards[group[0]])
-            # the detector client's replica, if it is in this group
-            watched = group.index(cfg.detector_client) if cfg.detector_client in group else None
+            # The detector client's rows are copied out as they arrive, so no
+            # step's stacked reply outlives the step.
+            received = None
+            if cfg.detector_client in group:
+                watched = group.index(cfg.detector_client)
+                received = grad_rounds[t] = np.empty((cfg.local_epochs * n, spec.split_dim))
             steps: list[list[BatchStats]] = []
-            for _ in range(cfg.local_epochs):
+            for epoch in range(cfg.local_epochs):
                 order = np.stack([shuffle_rngs[ci].permutation(n) for ci in group])
                 order += offsets
                 for start in range(0, n, cfg.batch_size):
@@ -533,8 +536,9 @@ def run_experiment(
                         client, server, inputs[sel], labels[sel], log, t, len(steps)
                     )
                     steps.append(stats)
-                    if watched is not None:
-                        grad_log_rows.append(g_final[watched])
+                    if received is not None:
+                        row = epoch * n + start
+                        received[row : row + sel.shape[1]] = g_final[watched]
             for i, (ci, stats) in enumerate(zip(group, zip(*steps))):
                 client_stats[ci] = stats
                 trained[ci] = tuple(
@@ -552,10 +556,8 @@ def run_experiment(
                 model.bottom, key, probe_rng.child(t), n_samples=cfg.probe_samples
             ).wsr
         outliers = None
-        if grad_log_rows:
-            grad_rounds[t] = np.vstack(grad_log_rows)
-            if detector is not None:
-                outliers = score_round(detector, grad_rounds[t])
+        if detector is not None and t in grad_rounds:
+            outliers = score_round(detector, grad_rounds[t])
         mean = BatchStats(*map(_mean_or_none, zip(*round_stats)))
         metrics.append(
             RoundMetrics(
