@@ -163,9 +163,8 @@ def backward_segment(
     dLoss/dOutput, a float64 array of the output's shape. Returns
     (input_gradient, grad), where grad is one float64 buffer shaped and
     laid out like seg.params; Segment(seg.specs(), grad).layers views it
-    per layer. The
-    loss reduction convention (e.g. batch mean) is whatever the upstream
-    gradient already encodes. With need_input_grad=False (a bottom
+    per layer. The loss reduction convention (e.g. batch mean) is whatever
+    the upstream gradient already encodes. With need_input_grad=False (a bottom
     segment, whose input is data) the last product is skipped and
     input_gradient is None.
     """
