@@ -79,6 +79,12 @@ def inject_noise(g: np.ndarray, spec: NoiseSpec, rng: RngStream) -> np.ndarray:
     return g + z * (g_norm / (math.sqrt(spec.snr) * z_norm))
 
 
+def check_finetune(steps: int, batch_size: int) -> None:
+    """finetune's bounds on its schedule; lr and momentum are the optimizer's."""
+    if steps < 0 or batch_size < 1:
+        raise ValueError(f"need steps >= 0 and batch_size >= 1, got {steps}, {batch_size}")
+
+
 def finetune(
     bottom: Segment,
     shard: Dataset,
@@ -98,10 +104,7 @@ def finetune(
     gradient is added to the task gradient at the split point. steps == 0
     or lr == 0 leaves the bottom's parameters exactly unchanged.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_finetune(steps, batch_size)
     if len(shard) < 1:
         raise ValueError("attacker shard is empty")
     work = bottom.copy()
@@ -130,6 +133,12 @@ def finetune(
     return work, head
 
 
+def check_prune_ratios(ratios) -> None:
+    bad = [r for r in ratios if not 0.0 <= r <= 1.0]
+    if bad:
+        raise ValueError(f"prune ratios must lie in [0, 1], got {bad}")
+
+
 def prune(segment: Segment, ratio: float) -> Segment:
     """Zero the globally smallest-magnitude fraction of weights.
 
@@ -137,8 +146,7 @@ def prune(segment: Segment, ratio: float) -> Segment:
     ties resolve by stable flattening order (layer by layer, row major),
     which also makes the operation idempotent at a fixed ratio.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"prune ratio must lie in [0, 1], got {ratio}")
+    check_prune_ratios([ratio])
     out = segment.copy()
     flats = [layer.w.ravel() for layer in out.layers]
     mags = np.concatenate([np.abs(f) for f in flats])
@@ -168,14 +176,19 @@ def _uniform_quantize(t: np.ndarray, bits: int) -> np.ndarray:
     return np.round(t / step) * step
 
 
+def check_quant_schemes(schemes) -> None:
+    bad = [s for s in schemes if s not in QUANT_SCHEMES]
+    if bad:
+        raise ValueError(f"unknown schemes {bad}, expected one of {QUANT_SCHEMES}")
+
+
 def quantize(segment: Segment, scheme: str) -> Segment:
     """Simulate weight quantization; values are dequantized back to float64.
 
     fp16 rounds every parameter to the nearest half-precision value (10-bit
     mantissa); int8/int4 use a symmetric uniform grid per parameter tensor.
     """
-    if scheme not in QUANT_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {QUANT_SCHEMES}")
+    check_quant_schemes([scheme])
     out = segment.copy()
     for layer in out.layers:
         for t in (layer.w, layer.b):
@@ -222,9 +235,9 @@ class AdaptiveAttackConfig:
 
     def __post_init__(self):
         for name in ("rounds_early", "rounds_late"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi <= lo:
-                raise ValueError(f"{name} must be a non-empty [start, stop) range")
+            window = getattr(self, name)
+            if len(window) != 2 or window[0] < 0 or window[1] <= window[0]:
+                raise ValueError(f"{name} must be two ints forming a non-empty [start, stop)")
         if self.n_main < 1 or self.k_prime < 1:
             raise ValueError("n_main and k_prime must be >= 1")
         if not (self.gamma >= 0.0 and self.ft_steps >= 0 and self.ft_lr >= 0.0):

@@ -19,7 +19,7 @@ from .config import ATTACK_KINDS, Config, ConfigError, load_config, parse_overri
 from .linalg import NumericalError, RngStream, StreamLabel
 from .nn import load_model
 from .runner import build_data, build_shards, execute_calibration, execute_run, run_attacks
-from .watermark import load_key, verify
+from .watermark import check_verify, load_key, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,10 +169,10 @@ def _load_model_and_key(model_path: str, key_path: str | None):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.probes < 1:
-        raise ConfigError(f"--probes must be >= 1, got {args.probes}")
-    if not 0.0 <= args.tau <= 1.0:
-        raise ConfigError(f"--tau must lie in [0, 1], got {args.tau}")
+    try:
+        check_verify(args.probes, args.tau)
+    except ValueError as exc:
+        raise ConfigError(f"--probes / --tau: {exc}") from None
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     model, key = _load_model_and_key(args.model, args.key)

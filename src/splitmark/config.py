@@ -5,18 +5,30 @@ watermark, optional noise, attacks and detector. Parsing is strict in
 both directions: unknown keys are rejected so typos cannot silently fall
 back to defaults, and validation reports every violation at once instead
 of stopping at the first.
+
+Each key's bound lives once, in the library object or check that takes
+its value, and validation reaches it through the builders below; the
+config itself judges only rules across keys and what no library sees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
-from .attacks import QUANT_SCHEMES, AdaptiveAttackConfig, NoiseSpec
-from .data import PARTITION_MODES, PartitionSpec
+from .attacks import (
+    QUANT_SCHEMES,
+    AdaptiveAttackConfig,
+    NoiseSpec,
+    check_finetune,
+    check_prune_ratios,
+    check_quant_schemes,
+)
+from .data import PartitionSpec, check_blobs, check_holdout
 from .nn import LayerSpec, OptimizerConfig, SplitSpec
 from .protocol import ProtocolConfig
-from .watermark import EmbedConfig
+from .watermark import EmbedConfig, check_calibration, check_key_dims, check_verify
 
 __all__ = [
     "ConfigError",
@@ -42,22 +54,10 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
+def _parse_list(item, raw: str) -> tuple:
     if not raw.strip():
         return ()
-    return tuple(int(part.strip()) for part in raw.split(","))
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    if not raw.strip():
-        return ()
-    return tuple(float(part.strip()) for part in raw.split(","))
-
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    if not raw.strip():
-        return ()
-    return tuple(part.strip() for part in raw.split(","))
+    return tuple(item(part.strip()) for part in raw.split(","))
 
 
 _PARSERS = {
@@ -65,9 +65,9 @@ _PARSERS = {
     "float": float,
     "bool": _parse_bool,
     "str": str.strip,
-    "ints": _parse_int_list,
-    "floats": _parse_float_list,
-    "strs": _parse_str_list,
+    "ints": partial(_parse_list, int),
+    "floats": partial(_parse_list, float),
+    "strs": partial(_parse_list, str),
 }
 
 
@@ -118,6 +118,8 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "calibrate.models": ("int", 5),
 }
 
+_DEFAULTS = {key: default for key, (_, default) in SCHEMA.items()}
+
 
 @dataclass(frozen=True)
 class Config:
@@ -131,20 +133,15 @@ class Config:
     # --- builders for the library objects -------------------------------
 
     def split_spec(self) -> SplitSpec:
-        widths = self["model.widths"]
-        split = self["model.split"]
-        dims = [self["data.input_dim"], *widths]
-        layers = [LayerSpec(dims[i], dims[i + 1]) for i in range(len(widths))]
-        bottom = tuple(layers[:split])
-        middle = tuple(layers[split:])
-        head = (LayerSpec(widths[-1], self["data.classes"], "identity"),)
-        return SplitSpec(bottom=bottom, middle=middle, head=head)
+        # A split below 1 leaves the bottom empty, which SplitSpec rejects.
+        split = max(self["model.split"], 0)
+        dims = [self["data.input_dim"], *self["model.widths"], self["data.classes"]]
+        layers = [LayerSpec(a, b) for a, b in zip(dims[:-2], dims[1:-1])]
+        head = (LayerSpec(dims[-2], dims[-1], "identity"),)
+        return SplitSpec(tuple(layers[:split]), tuple(layers[split:]), head)
 
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            lr=self["optimizer.lr"],
-            momentum=self["optimizer.momentum"],
-        )
+        return OptimizerConfig(self["optimizer.lr"], self["optimizer.momentum"])
 
     def protocol(self) -> ProtocolConfig:
         return ProtocolConfig(
@@ -165,27 +162,14 @@ class Config:
         )
 
     def embed(self) -> EmbedConfig | None:
-        if not self["embed.enabled"]:
-            return None
-        return EmbedConfig(strength=self["embed.strength"])
+        return EmbedConfig(self["embed.strength"]) if self["embed.enabled"] else None
 
     def noise(self) -> NoiseSpec | None:
-        if not self["noise.enabled"]:
-            return None
-        return NoiseSpec(self["noise.snr"])
+        return NoiseSpec(self["noise.snr"]) if self["noise.enabled"] else None
 
     def adaptive_attack(self) -> AdaptiveAttackConfig:
-        return AdaptiveAttackConfig(
-            rounds_early=tuple(self["attack.rounds_early"]),
-            rounds_late=tuple(self["attack.rounds_late"]),
-            n_main=self["attack.n_main"],
-            k_prime=self["attack.k_prime"],
-            gamma=self["attack.gamma"],
-            ft_steps=self["attack.ft_steps"],
-            ft_lr=self["attack.ft_lr"],
-            batch_size=self["attack.batch_size"],
-            momentum=self["attack.momentum"],
-        )
+        names = [f.name for f in fields(AdaptiveAttackConfig)]
+        return AdaptiveAttackConfig(**{name: self[f"attack.{name}"] for name in names})
 
 
 def parse_override(key: str, raw: str):
@@ -217,25 +201,21 @@ def parse_config(text: str, overrides: dict | None = None) -> Config:
         if "=" not in line:
             problems.append(f"line {lineno}: expected 'key = value', got {raw!r}")
             continue
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
+        key, _, rhs = (part.strip() for part in line.partition("="))
         if key not in SCHEMA:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in values:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        kind, _ = SCHEMA[key]
         try:
-            values[key] = _PARSERS[kind](rhs)
-        except ValueError as exc:
-            problems.append(f"line {lineno}: bad value for {key}: {exc}")
+            values[key] = parse_override(key, rhs)
+        except ConfigError as exc:
+            problems.append(f"line {lineno}: {exc}")
     if problems:
         raise ConfigError("config parse failed:\n" + "\n".join(problems))
 
-    for key, (_, default) in SCHEMA.items():
-        values.setdefault(key, default)
+    values = {**_DEFAULTS, **values}
     if overrides:
         for key, val in overrides.items():
             if key not in SCHEMA:
@@ -246,94 +226,94 @@ def parse_config(text: str, overrides: dict | None = None) -> Config:
     return Config(values)
 
 
+def _data(c: Config) -> None:
+    n_per_class = c["data.train_per_class"] + c["data.test_per_class"]
+    check_blobs(n_per_class, c["data.classes"], c["data.input_dim"], c["data.spread"])
+    check_holdout(n_per_class, c["data.test_per_class"])
+
+
+def _verify(c: Config) -> None:
+    check_verify(c["verify.probes"], c["verify.tau"])
+
+
+def _finetune(c: Config) -> None:
+    check_finetune(c["attack.finetune_steps"], c["attack.batch_size"])
+    OptimizerConfig(c["attack.finetune_lr"], c["attack.momentum"]).build()
+
+
+# Each library check, run on a Config, and the keys whose bounds it holds.
+_OWNERS = (
+    (Config.protocol, "run.rounds run.local_epochs run.batch_size run.probe_samples"),
+    (_data, "data.classes data.input_dim data.spread"),
+    (_data, "data.train_per_class data.test_per_class"),
+    (Config.partition_spec, "partition.clients partition.mode"),
+    (Config.partition_spec, "partition.beta partition.sigma"),
+    (lambda c: c.optimizer().build(), "optimizer.lr optimizer.momentum"),
+    (lambda c: EmbedConfig(c["embed.strength"]), "embed.strength"),
+    (lambda c: check_key_dims(c.split_spec().split_dim, c["embed.bits"]), "embed.bits"),
+    (_verify, "verify.probes verify.tau"),
+    (lambda c: NoiseSpec(c["noise.snr"]), "noise.snr"),
+    (_finetune, "attack.finetune_steps attack.finetune_lr"),
+    (_finetune, "attack.batch_size attack.momentum"),
+    (lambda c: check_prune_ratios(c["attack.prune_ratios"]), "attack.prune_ratios"),
+    (lambda c: check_quant_schemes(c["attack.quant_schemes"]), "attack.quant_schemes"),
+    (Config.adaptive_attack, "attack.rounds_early attack.rounds_late attack.n_main"),
+    (Config.adaptive_attack, "attack.k_prime attack.gamma attack.ft_steps attack.ft_lr"),
+    (lambda c: check_calibration(c["calibrate.models"]), "calibrate.models"),
+)
+
+
 def _validate(v: dict) -> None:
+    """Report every problem at once. Each owned key is checked by its owner
+    on the defaults with only that key from v, so one bad key neither hides
+    nor is blamed for another; a default passes (test_config checks it)."""
     bad: list[str] = []
+
+    def owned(key: str, build, values: dict) -> bool:
+        try:
+            build(Config({**_DEFAULTS, **values}))
+        except ValueError as exc:
+            bad.append(f"{key}: {exc}")
+            return False
+        return True
 
     def check(cond: bool, msg: str) -> None:
         if not cond:
             bad.append(msg)
 
-    check(v["run.seed"] >= 0, "run.seed must be >= 0")
-    check(v["run.rounds"] >= 0, "run.rounds must be >= 0")
-    check(v["run.local_epochs"] >= 1, "run.local_epochs must be >= 1")
-    check(v["run.batch_size"] >= 1, "run.batch_size must be >= 1")
-    check(v["run.probe_samples"] >= 1, "run.probe_samples must be >= 1")
-    check(bool(v["run.out"]), "run.out must not be empty")
-    check(v["data.classes"] >= 2, "data.classes must be >= 2")
-    check(v["data.input_dim"] >= 1, "data.input_dim must be >= 1")
-    check(v["data.train_per_class"] >= 1, "data.train_per_class must be >= 1")
-    check(v["data.test_per_class"] >= 0, "data.test_per_class must be >= 0")
-    check(v["data.spread"] >= 0.0, "data.spread must be >= 0")
-    check(v["partition.clients"] >= 1, "partition.clients must be >= 1")
-    check(
-        v["partition.mode"] in PARTITION_MODES,
-        f"partition.mode must be one of {PARTITION_MODES}",
-    )
-    check(0.0 < v["partition.beta"] < math.inf, "partition.beta must be finite and > 0")
-    check(
-        0.0 <= v["partition.sigma"] < math.inf, "partition.sigma must be finite and >= 0"
-    )
-    check(
-        v["partition.clients"] <= v["data.classes"] * v["data.train_per_class"],
-        "partition.clients exceeds the data.classes * data.train_per_class "
-        "training samples",
-    )
+    ok = {
+        key: v[key] == _DEFAULTS[key] or owned(key, build, {key: v[key]})
+        for build, keys in _OWNERS
+        for key in keys.split()
+    }
+    # SplitSpec bounds the split by the number of widths, whatever their
+    # values, and the widths with split 1, which two or more valid widths take.
     widths = v["model.widths"]
-    check(len(widths) >= 2, "model.widths needs at least 2 layers")
-    check(all(w >= 1 for w in widths), "model.widths entries must be >= 1")
-    if len(widths) >= 2:
-        check(
-            1 <= v["model.split"] <= len(widths) - 1,
-            "model.split must leave at least one layer on each side",
-        )
-    check(v["optimizer.lr"] >= 0.0, "optimizer.lr must be >= 0")
-    check(0.0 <= v["optimizer.momentum"] < 1.0, "optimizer.momentum must lie in [0, 1)")
-    check(v["embed.strength"] >= 0.0, "embed.strength must be >= 0")
-    check(v["embed.bits"] >= 1, "embed.bits must be >= 1")
-    check(v["verify.probes"] >= 1, "verify.probes must be >= 1")
-    check(0.0 <= v["verify.tau"] <= 1.0, "verify.tau must lie in [0, 1]")
-    check(v["noise.snr"] > 0.0, "noise.snr must be > 0")
+    owned("model.widths", Config.split_spec, {"model.widths": widths, "model.split": 1})
+    split = {"model.widths": (1,) * len(widths), "model.split": v["model.split"]}
+    split_ok = owned("model.split", Config.split_spec, split)
+    check(v["run.seed"] >= 0, "run.seed must be >= 0")
+    check(bool(v["run.out"]), "run.out must not be empty")
+    check(v["attack.early_rows"] >= 0, "attack.early_rows must be >= 0 (0 = all)")
     for kind in v["attack.kinds"]:
         check(kind in ATTACK_KINDS, f"unknown attack kind {kind!r}")
-    check(v["attack.finetune_steps"] >= 0, "attack.finetune_steps must be >= 0")
-    check(v["attack.finetune_lr"] >= 0.0, "attack.finetune_lr must be >= 0")
-    for r in v["attack.prune_ratios"]:
-        check(0.0 <= r <= 1.0, f"prune ratio {r} outside [0, 1]")
-    for s in v["attack.quant_schemes"]:
-        check(s in QUANT_SCHEMES, f"unknown quantization scheme {s!r}")
-    adaptive = "adaptive" in v["attack.kinds"]
-    for name in ("attack.rounds_early", "attack.rounds_late"):
-        rng = v[name]
-        ok = len(rng) == 2 and rng[0] >= 0 and rng[1] > rng[0]
-        check(ok, f"{name} must be two ints forming [start, stop)")
-        # the windows slice logged rounds, so only an adaptive run binds them
-        if ok and adaptive:
-            check(rng[1] <= v["run.rounds"], f"{name} exceeds run.rounds")
-    check(v["attack.early_rows"] >= 0, "attack.early_rows must be >= 0 (0 = all)")
-    check(v["attack.n_main"] >= 1, "attack.n_main must be >= 1")
-    check(v["attack.k_prime"] >= 1, "attack.k_prime must be >= 1")
-    if adaptive and 1 <= v["model.split"] < len(widths):
-        # the attack's PCA bases live in the split activations
-        split_width = widths[v["model.split"] - 1]
+    n = v["data.classes"] * v["data.train_per_class"]
+    check(v["partition.clients"] <= n, f"partition.clients exceeds {n} training samples")
+    if "adaptive" in v["attack.kinds"]:
+        # Only an adaptive run slices the logged rounds, fits PCA bases in the
+        # split activations and caps the early window for a k_prime-component PCA.
+        for name in ("attack.rounds_early", "attack.rounds_late"):
+            if ok[name]:
+                check(v[name][1] <= v["run.rounds"], f"{name} exceeds run.rounds")
+        width = widths[v["model.split"] - 1] if split_ok else math.inf
         for name in ("attack.n_main", "attack.k_prime"):
-            check(v[name] <= split_width, f"{name} exceeds the split width {split_width}")
-    if adaptive:
-        # the capped early window feeds a k_prime-component PCA
+            check(v[name] <= width, f"{name} exceeds the split width {width}")
         rows = v["attack.early_rows"]
         check(
             rows == 0 or rows >= max(2, v["attack.k_prime"]),
             "attack.early_rows must be 0 or at least max(2, attack.k_prime)",
         )
-    check(v["attack.gamma"] >= 0.0, "attack.gamma must be >= 0")
-    check(v["attack.ft_steps"] >= 0, "attack.ft_steps must be >= 0")
-    check(v["attack.ft_lr"] >= 0.0, "attack.ft_lr must be >= 0")
-    check(v["attack.batch_size"] >= 1, "attack.batch_size must be >= 1")
-    check(0.0 <= v["attack.momentum"] < 1.0, "attack.momentum must lie in [0, 1)")
-    check(v["calibrate.models"] >= 2, "calibrate.models must be >= 2")
-
-    if adaptive and not v["embed.enabled"]:
-        bad.append("attack.kinds includes 'adaptive' but embed.enabled is false")
-
+        check(v["embed.enabled"], "attack.kinds: 'adaptive' needs embed.enabled = true")
     if bad:
         raise ConfigError("config validation failed:\n" + "\n".join(bad))
 

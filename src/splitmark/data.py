@@ -48,6 +48,15 @@ class Dataset:
         return Dataset(self.inputs[idx], self.labels[idx], self.n_classes)
 
 
+def check_blobs(n_per_class: int, n_classes: int, input_dim: int, spread: float) -> None:
+    """make_blobs' bounds on its sizes and spread."""
+    if n_per_class < 1 or n_classes < 2 or input_dim < 1 or not 0 <= spread < math.inf:
+        raise ValueError(
+            f"need n_per_class >= 1, n_classes >= 2, input_dim >= 1, finite spread >= 0; "
+            f"got {n_per_class}, {n_classes}, {input_dim}, {spread}"
+        )
+
+
 def make_blobs(
     rng: RngStream,
     n_per_class: int,
@@ -62,13 +71,9 @@ def make_blobs(
     radius; samples are mean + spread * N(0, I). Rows come back grouped by
     class, so index i * n_per_class + j is sample j of class i.
     """
-    if n_per_class < 1 or n_classes < 2 or input_dim < 1:
-        raise ValueError(
-            f"need n_per_class >= 1, n_classes >= 2, input_dim >= 1; "
-            f"got {n_per_class}, {n_classes}, {input_dim}"
-        )
-    if not (spread >= 0.0 and radius > 0.0):
-        raise ValueError("spread must be >= 0 and radius > 0")
+    check_blobs(n_per_class, n_classes, input_dim, spread)
+    if not radius > 0.0:
+        raise ValueError("radius must be > 0")
     means = rng.normal(n_classes * input_dim).reshape(n_classes, input_dim)
     means /= np.sqrt((means**2).sum(axis=1, keepdims=True))
     means *= radius
@@ -81,19 +86,19 @@ def make_blobs(
     return Dataset(np.concatenate(xs), np.concatenate(ys), n_classes)
 
 
+def check_holdout(n_per_class: int, n_test_per_class: int) -> None:
+    """split_per_class' bound: a class keeps at least one training sample."""
+    if not 0 <= n_test_per_class < n_per_class:
+        raise ValueError(f"cannot hold out {n_test_per_class} of {n_per_class} samples")
+
+
 def split_per_class(ds: Dataset, n_test_per_class: int) -> tuple[Dataset, Dataset]:
     """Deterministic train/test split taking the tail of each class block."""
-    if n_test_per_class < 0:
-        raise ValueError("n_test_per_class must be >= 0")
     train_idx = []
     test_idx = []
     for c in range(ds.n_classes):
         members = np.flatnonzero(ds.labels == c)
-        if n_test_per_class >= len(members):
-            raise ValueError(
-                f"class {c} has only {len(members)} samples, cannot hold out "
-                f"{n_test_per_class}"
-            )
+        check_holdout(len(members), n_test_per_class)
         cut = len(members) - n_test_per_class
         train_idx.append(members[:cut])
         test_idx.append(members[cut:])

@@ -54,6 +54,8 @@ from .nn import (
 __all__ = [
     "MEMORY_ROUNDS",
     "REFERENCE_FRACTION",
+    "K_NN",
+    "QUANTILE",
     "DetectorState",
     "build_reference",
     "score_round",
@@ -65,6 +67,10 @@ MEMORY_ROUNDS = 2
 
 # Share of the detector client's shard that shadow training runs over.
 REFERENCE_FRACTION = 0.25
+
+# Neighbours in each score, and the reference quantile that sets the thresholds.
+K_NN = 5
+QUANTILE = 0.99
 
 
 @dataclass
@@ -156,43 +162,36 @@ def _coherence(rows: np.ndarray) -> np.ndarray:
 
 def build_reference(
     shard: Dataset,
-    shard_fraction: float,
     spec: SplitSpec,
     rng: RngStream,
     opt: OptimizerConfig = OptimizerConfig(),
     epochs: int = 2,
     batch_size: int = 25,
-    k_nn: int = 5,
-    quantile: float = 0.99,
 ) -> DetectorState:
     """Shadow-train a local full model and calibrate the outlier threshold.
 
     The shadow model is freshly initialized from the detector's stream and
-    trained for `epochs` passes over a shard_fraction subset of the
+    trained for `epochs` passes over a REFERENCE_FRACTION subset of the
     client's data; every batch contributes its per-sample split-point
-    gradient rows to the reference. The threshold is the `quantile` of
-    each reference row's mean distance to the segments of its k_nn nearest
+    gradient rows to the reference. The threshold is the QUANTILE of each
+    reference row's mean distance to the segments of its K_NN nearest
     other rows, so scoring the reference against itself flags at most a
-    (1 - quantile) fraction.
+    (1 - QUANTILE) fraction.
     """
-    if not 0.0 < shard_fraction <= 1.0:
-        raise ValueError(f"shard_fraction must lie in (0, 1], got {shard_fraction}")
-    if k_nn < 1 or epochs < 1 or batch_size < 1:
-        raise ValueError("k_nn, epochs and batch_size must be >= 1")
-    if not 0.0 < quantile < 1.0:
-        raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
+    if epochs < 1 or batch_size < 1:
+        raise ValueError("epochs and batch_size must be >= 1")
     if shard.n_classes > spec.n_classes:
         raise ValueError(
             f"shard has {shard.n_classes} classes, more than the head's "
             f"{spec.n_classes}"
         )
-    n_sub = max(1, int(round(shard_fraction * len(shard))))
+    n_sub = max(1, int(round(REFERENCE_FRACTION * len(shard))))
     sel = rng.permutation(len(shard))[:n_sub]
     sub = shard.subset(sel)
-    if epochs * n_sub < k_nn + 1:
+    if epochs * n_sub < K_NN + 1:
         raise ValueError(
             f"shadow training would yield {epochs * n_sub} reference rows, "
-            f"need at least {k_nn + 1}"
+            f"need at least {K_NN + 1}"
         )
     model = init_split_model(spec, rng)
     optimizer = opt.build()
@@ -216,7 +215,7 @@ def build_reference(
                 [model.bottom, model.middle, model.head],
                 [bottom_grads, middle_grads, head_grads],
             )
-    state = DetectorState(np.vstack(rows), k_nn, quantile)
+    state = DetectorState(np.vstack(rows), K_NN, QUANTILE)
     if state.threshold <= 0.0:
         raise ValueError("degenerate reference: calibrated threshold is zero")
     return state

@@ -233,7 +233,7 @@ class SplitSpec:
     def __post_init__(self):
         chain = list(self.bottom) + list(self.middle) + list(self.head)
         if not (self.bottom and self.middle and self.head):
-            raise ValueError("every segment needs at least one layer")
+            raise ValueError("bottom, middle and head each need at least one layer")
         for prev, nxt in zip(chain, chain[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise ValueError(

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,9 +106,6 @@ class MessageLog:
 
     def append(self, kind, round_idx, client, batch, shape: tuple[int, ...]) -> None:
         self.messages.append(Message(kind, round_idx, client, batch, shape))
-
-    def kinds(self) -> set[MessageKind]:
-        return {m.kind for m in self.messages}
 
     def verify_ordering(self) -> None:
         """Every (round, client, batch) triple must show the exact
@@ -377,16 +374,14 @@ class ProtocolConfig:
     opt: OptimizerConfig = OptimizerConfig()
     probe_samples: int = 64
     # The client whose received rows are logged in RunResult.grad_rounds;
-    # it is both the detecting client and the adaptive attacker.
-    detector_client: int = 0
+    # it is the detecting client and the adaptive attacker in every run.
+    detector_client: ClassVar[int] = 0
 
     def __post_init__(self):
-        if self.n_rounds < 0:
-            raise ValueError("n_rounds must be >= 0")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ValueError("local_epochs and batch_size must be >= 1")
-        if self.probe_samples < 1:
-            raise ValueError("probe_samples must be >= 1")
+        lows = {"n_rounds": 0, "local_epochs": 1, "batch_size": 1, "probe_samples": 1}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass

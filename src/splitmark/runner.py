@@ -24,10 +24,10 @@ from .attacks import (
 )
 from .config import Config, ConfigError
 from .data import Dataset, make_blobs, partition, split_per_class
-from .detect import REFERENCE_FRACTION, DetectorState, build_reference
+from .detect import DetectorState, build_reference
 from .linalg import RngStream, StreamLabel
 from .nn import SplitModel, accuracy, forward_full, forward_segment, save_model
-from .protocol import RoundMetrics, RunResult, run_experiment
+from .protocol import ProtocolConfig, RoundMetrics, RunResult, run_experiment
 from .watermark import (
     CALIBRATION_KEYS,
     WatermarkKey,
@@ -75,13 +75,12 @@ def build_shards(cfg: Config, train: Dataset) -> list[Dataset]:
 
 
 def build_detector(cfg: Config, shards: list[Dataset]) -> DetectorState:
-    """Calibrate client 0's detector by shadow training on its shard with
-    the clients' optimizer, epochs and batch size. A shard too small to
-    calibrate on is a config problem and raises ConfigError."""
+    """Calibrate the detector client's detector by shadow training on its
+    shard with the clients' optimizer, epochs and batch size. A shard too
+    small to calibrate on is a config problem and raises ConfigError."""
     try:
         return build_reference(
-            shards[0],
-            REFERENCE_FRACTION,
+            shards[ProtocolConfig.detector_client],
             cfg.split_spec(),
             RngStream(cfg["run.seed"], StreamLabel.MODEL_INIT, (5,)),
             opt=cfg.optimizer(),
@@ -149,7 +148,7 @@ def run_attacks(
     post checks, so the drop is a paired comparison.
     """
     seed = cfg["run.seed"]
-    shard = shards[0]
+    shard = shards[ProtocolConfig.detector_client]
     pre_acc = accuracy(forward_full(model, test.inputs), test.labels)
 
     def wsr_of(bottom) -> float | None:

@@ -13,8 +13,9 @@ The embedding gradient has closed form. With P = A @ M and
 C = (sigmoid(P) - b) / (batch * k), the gradient of the mean BCE with
 respect to A is C @ M^T, so every row lies in the span of M's columns.
 Loss and gradient are both computed from P, which project() forms once.
-A stacked (G, batch, d) activation batch, one per client of a lockstep
-group, gives one loss, gradient and clip factor per replica.
+The server's activations come as a (G, batch, d) stack, one batch per
+client of a lockstep group, and give one loss, gradient and clip factor
+per replica.
 """
 
 from __future__ import annotations
@@ -119,10 +120,15 @@ class NullCalibration:
     degenerate: bool
 
 
-def keygen(rng: RngStream, d: int, k: int) -> WatermarkKey:
-    """Draw a fresh key: M is d x k IID standard normal, bits fair coins."""
+def check_key_dims(d: int, k: int) -> None:
+    """keygen's bound: a key needs a carrier dimension and at least one bit."""
     if d < 1 or k < 1:
         raise ValueError(f"key dimensions must be positive, got d={d}, k={k}")
+
+
+def keygen(rng: RngStream, d: int, k: int) -> WatermarkKey:
+    """Draw a fresh key: M is d x k IID standard normal, bits fair coins."""
+    check_key_dims(d, k)
     if k > d:
         warnings.warn(
             f"key width k={k} exceeds carrier dimension d={d}; key columns "
@@ -142,8 +148,8 @@ def _sigmoid(p: np.ndarray) -> np.ndarray:
 
 
 def project(a_flat: np.ndarray, key: WatermarkKey) -> np.ndarray:
-    """Return the projections A @ M of a float64 (batch, key.d) activation
-    batch, or of a (G, batch, key.d) stack.
+    """Return the projections A @ M of a float64 (G, batch, key.d)
+    activation stack.
 
     wm_loss and wm_gradient both take this matrix, so a caller that needs
     the loss and the gradient checks A and multiplies by M once. Non-finite
@@ -160,11 +166,10 @@ def wm_loss(p: np.ndarray, key: WatermarkKey):
 
     Uses the standard overflow-safe form
     max(p, 0) - p * b + log(1 + exp(-|p|)), averaged over batch and bits:
-    a float, or a (G,) array with one mean per replica of a stack.
+    a (G,) array with one mean per replica of the stack.
     """
     losses = np.maximum(p, 0.0) - p * key.bits + np.log1p(np.exp(-np.abs(p)))
-    mean = losses.sum(axis=(-2, -1)) / (p.shape[-2] * p.shape[-1])
-    return mean if p.ndim > 2 else float(mean)
+    return losses.sum(axis=(-2, -1)) / (p.shape[-2] * p.shape[-1])
 
 
 def wm_gradient(p: np.ndarray, key: WatermarkKey) -> np.ndarray:
@@ -184,16 +189,15 @@ CLIP_EPSILON = 1e-12
 
 
 def adaptive_clip(g_wm: np.ndarray, cfg: EmbedConfig, wm_norm, main_norm) -> np.ndarray:
-    """Scale the watermark gradient to at most strength * ||task gradient||.
+    """Scale each replica of a (G, batch, d) watermark gradient to at most
+    strength * ||its task gradient||.
 
     factor = min(1, strength * ||g_main|| / (||g_wm|| + CLIP_EPSILON)); the
     gradient is only ever shrunk, never amplified. wm_norm and main_norm are
-    the Frobenius norms of g_wm and of the task gradient g_main, which the
-    caller already holds: floats for one (batch, d) gradient, or sequences
-    of per-replica norms for a (G, batch, d) stack, each replica scaled by
-    its own factor.
+    the per-replica Frobenius norms of g_wm and of the task gradient g_main,
+    which the caller already holds.
     """
-    pairs = zip(wm_norm, main_norm) if g_wm.ndim > 2 else [(wm_norm, main_norm)]
+    pairs = zip(wm_norm, main_norm)
     factors = np.array([min(1.0, cfg.strength * m / (w + CLIP_EPSILON)) for w, m in pairs])
     return g_wm * factors.reshape(g_wm.shape[:-2] + (1, 1))
 
@@ -211,6 +215,12 @@ def predict_bits(bottom: Segment, key: WatermarkKey, probes: np.ndarray) -> np.n
     return (p >= 0.0).astype(np.float64)
 
 
+def check_verify(n_samples: int, tau: float) -> None:
+    """verify's bounds on its probe count and threshold."""
+    if not (n_samples >= 1 and 0.0 <= tau <= 1.0):
+        raise ValueError(f"need n_samples >= 1 and tau in [0, 1], got {n_samples}, {tau}")
+
+
 def verify(
     bottom: Segment,
     key: WatermarkKey,
@@ -223,10 +233,7 @@ def verify(
     WSR is the fraction of matching (sample, bit) cells over n_samples
     probes; ownership is asserted when WSR strictly exceeds tau.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    check_verify(n_samples, tau)
     if key.d != bottom.out_dim:
         raise ValueError(
             f"key dimension {key.d} does not match bottom output {bottom.out_dim}"
@@ -264,30 +271,31 @@ def summarize_null(
 CALIBRATION_KEYS = 20
 
 
+def check_calibration(n_models: int) -> None:
+    """calibrate_threshold's bound: the null std needs two clean models."""
+    if n_models < 2:
+        raise ValueError("need at least 2 clean models to calibrate")
+
+
 def calibrate_threshold(
     clean_bottoms: list[Segment],
     k: int,
     key_rng: RngStream,
     probe_rng: RngStream,
-    n_keys: int = CALIBRATION_KEYS,
     n_samples: int = 256,
 ) -> NullCalibration:
-    """Null distribution of WSR over fresh keys crossed with clean models.
+    """Null WSRs of CALIBRATION_KEYS fresh keys crossed with clean models.
 
     Every (model, key) pair contributes one WSR measured exactly like
-    verify(), with per-pair probe sub-streams. Requires at least 2 clean
-    models and 10 keys so the std estimate is not vacuous.
+    verify(), with per-pair probe sub-streams.
     """
-    if len(clean_bottoms) < 2:
-        raise ValueError("need at least 2 clean models to calibrate")
-    if n_keys < 10:
-        raise ValueError("need at least 10 keys to calibrate")
+    check_calibration(len(clean_bottoms))
     d = clean_bottoms[0].out_dim
     for seg in clean_bottoms:
         if seg.out_dim != d or seg.in_dim != clean_bottoms[0].in_dim:
             raise ValueError("clean models must share input and split dimensions")
-    keys = [keygen(key_rng.child(j), d, k) for j in range(n_keys)]
-    wsrs = np.empty((len(clean_bottoms), n_keys))
+    keys = [keygen(key_rng.child(j), d, k) for j in range(CALIBRATION_KEYS)]
+    wsrs = np.empty((len(clean_bottoms), CALIBRATION_KEYS))
     for i, seg in enumerate(clean_bottoms):
         for j, key in enumerate(keys):
             report = verify(seg, key, probe_rng.child(i, j), n_samples=n_samples, tau=1.0)

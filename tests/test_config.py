@@ -6,11 +6,12 @@ from dataclasses import replace
 
 import pytest
 
-from splitmark.attacks import QUANT_SCHEMES
-from splitmark.data import PARTITION_MODES, PartitionSpec, make_blobs
+from splitmark.attacks import QUANT_SCHEMES, NoiseSpec, finetune, prune, quantize
+from splitmark.data import PARTITION_MODES, PartitionSpec, make_blobs, split_per_class
 from splitmark.linalg import RngStream, StreamLabel
-from splitmark.nn import OptimizerConfig
-from splitmark.watermark import EmbedConfig
+from splitmark.nn import LayerSpec, OptimizerConfig, SplitSpec, init_segment
+from splitmark.protocol import ProtocolConfig
+from splitmark.watermark import EmbedConfig, calibrate_threshold, keygen, verify
 from splitmark.config import (
     SCHEMA,
     Config,
@@ -141,6 +142,9 @@ def test_cross_field_checks():
     with pytest.raises(ConfigError, match=r"partition\.clients"):
         parse_config(small + "partition.clients = 81\n")
     parse_config(small + "partition.clients = 80\n")
+    # a negative split is rejected, not read as a slice from the end
+    with pytest.raises(ConfigError, match=r"model\.split"):
+        parse_config("model.split = -1\n")
     with pytest.raises(ConfigError, match="adaptive.*embed"):
         parse_config("attack.kinds = adaptive\n")
     parse_config("attack.kinds = adaptive\nembed.enabled = true\n")
@@ -174,40 +178,203 @@ def _partition_spec_in_every_mode(**kw) -> None:
         raise ValueError(f"every partition mode rejects {kw}")
 
 
+def _blobs(n_per_class=3, n_classes=2, input_dim=2, spread=0.5):
+    return make_blobs(
+        RngStream(0, StreamLabel.DATA), n_per_class, n_classes, input_dim, spread
+    )
+
+
+def _train_test(train=500, test=50):
+    """split_per_class on make_blobs, as the run builds its data."""
+    return split_per_class(_blobs(n_per_class=train + test), test)
+
+
+def _split_spec(widths, split=2):
+    """The split model of the default data shape, built from library specs."""
+    dims = [8, *widths]
+    layers = [LayerSpec(a, b) for a, b in zip(dims, dims[1:])]
+    head = (LayerSpec(dims[-1], 4, "identity"),)
+    return SplitSpec(tuple(layers[:split]), tuple(layers[split:]), head)
+
+
+_RNG = RngStream(0, StreamLabel.ATTACK)
+_SEGMENT = init_segment([LayerSpec(2, 3)], RngStream(0, StreamLabel.MODEL_INIT))
+
+
+def _finetune(steps=1, lr=0.01, **kw):
+    return finetune(_SEGMENT, _blobs(), steps, lr, _RNG, **kw)
+
+
+def _verify(**kw):
+    return verify(_SEGMENT, keygen(_RNG, 3, 2), _RNG, **kw)
+
+
+def _adaptive(**kw):
+    return replace(parse_config("").adaptive_attack(), **kw)
+
+
 # config key -> the library object that must accept and reject alike
 _LIBRARY = {
+    "run.rounds": lambda v: ProtocolConfig(v),
+    "run.local_epochs": lambda v: ProtocolConfig(1, local_epochs=v),
+    "run.batch_size": lambda v: ProtocolConfig(1, batch_size=v),
+    "run.probe_samples": lambda v: ProtocolConfig(1, probe_samples=v),
+    "data.classes": lambda v: _blobs(n_classes=v),
+    "data.input_dim": lambda v: _blobs(input_dim=v),
+    "data.train_per_class": lambda v: _train_test(train=v),
+    "data.test_per_class": lambda v: _train_test(test=v),
+    "data.spread": lambda v: make_blobs(RngStream(0, StreamLabel.DATA), 1, 2, 1, v),
+    "partition.clients": lambda v: PartitionSpec(v),
+    "partition.mode": lambda v: PartitionSpec(4, v),
     "partition.sigma": lambda v: _partition_spec_in_every_mode(sigma=v),
     "partition.beta": lambda v: _partition_spec_in_every_mode(beta=v),
-    "data.spread": lambda v: make_blobs(RngStream(0, StreamLabel.DATA), 1, 2, 1, v),
-    "embed.strength": lambda v: EmbedConfig(strength=v),
-    "attack.gamma": lambda v: replace(parse_config("").adaptive_attack(), gamma=v),
+    "model.widths": _split_spec,
+    "model.split": lambda v: _split_spec((64, 64, 64), v),
+    "optimizer.lr": lambda v: OptimizerConfig(lr=v).build(),
     "optimizer.momentum": lambda v: OptimizerConfig(momentum=v).build(),
+    "embed.strength": lambda v: EmbedConfig(strength=v),
+    "embed.bits": lambda v: keygen(_RNG, 64, v),
+    "verify.probes": lambda v: _verify(n_samples=v),
+    "verify.tau": lambda v: _verify(tau=v),
+    "noise.snr": NoiseSpec,
+    "attack.finetune_steps": lambda v: _finetune(steps=v),
+    "attack.finetune_lr": lambda v: _finetune(lr=v),
+    "attack.batch_size": lambda v: _finetune(batch_size=v),
+    "attack.momentum": lambda v: _finetune(momentum=v),
+    "attack.prune_ratios": lambda v: [prune(_SEGMENT, r) for r in v],
+    "attack.quant_schemes": lambda v: [quantize(_SEGMENT, s) for s in v],
+    "attack.rounds_early": lambda v: _adaptive(rounds_early=v),
+    "attack.rounds_late": lambda v: _adaptive(rounds_late=v),
+    "attack.n_main": lambda v: _adaptive(n_main=v),
+    "attack.k_prime": lambda v: _adaptive(k_prime=v),
+    "attack.gamma": lambda v: _adaptive(gamma=v),
+    "attack.ft_steps": lambda v: _adaptive(ft_steps=v),
+    "attack.ft_lr": lambda v: _adaptive(ft_lr=v),
+    "calibrate.models": lambda v: calibrate_threshold(
+        [_SEGMENT] * v, 2, _RNG, _RNG, n_samples=4
+    ),
 }
 
-
-@pytest.mark.parametrize(
-    "key, value, accepted",
-    [
-        pytest.param("partition.sigma", -1.0, False, id="-1.0-False"),
-        pytest.param("partition.sigma", 0.0, True, id="0.0-True"),
-        pytest.param("partition.sigma", 1.0, True, id="1.0-True"),
-        ("partition.sigma", _NAN, False),
-        ("partition.sigma", math.inf, False),
-        ("partition.beta", -1.0, False),
-        ("partition.beta", 0.5, True),
-        ("partition.beta", _NAN, False),
-        ("partition.beta", math.inf, False),
-        ("data.spread", 0.0, True),
-        ("data.spread", -1.0, False),
-        ("data.spread", _NAN, False),
-        ("embed.strength", _NAN, False),
-        ("attack.gamma", _NAN, False),
-        ("optimizer.momentum", _NAN, False),
-        ("optimizer.momentum", 1.5, False),
-        ("optimizer.momentum", 0.9, True),
-    ],
+# Keys that no library call receives, so the config alone bounds them.
+_CONFIG_OWNED = (
+    "embed.enabled",
+    "noise.enabled",
+    "detector.enabled",
+    "run.out",
+    "run.seed",
+    "attack.kinds",
+    "attack.early_rows",
 )
-def test_partition_sigma_bound_agrees_with_the_library(key, value, accepted):
+
+_FIRST_ROWS = [
+    pytest.param("partition.sigma", -1.0, False, id="-1.0-False"),
+    pytest.param("partition.sigma", 0.0, True, id="0.0-True"),
+    pytest.param("partition.sigma", 1.0, True, id="1.0-True"),
+    ("partition.sigma", _NAN, False),
+    ("partition.sigma", math.inf, False),
+    ("partition.beta", -1.0, False),
+    ("partition.beta", 0.5, True),
+    ("partition.beta", _NAN, False),
+    ("partition.beta", math.inf, False),
+    ("data.spread", 0.0, True),
+    ("data.spread", -1.0, False),
+    ("data.spread", _NAN, False),
+    ("embed.strength", _NAN, False),
+    ("attack.gamma", _NAN, False),
+    ("optimizer.momentum", _NAN, False),
+    ("optimizer.momentum", 1.5, False),
+    ("optimizer.momentum", 0.9, True),
+]
+_ROWS = [
+    *_FIRST_ROWS,
+    ("data.spread", math.inf, False),
+    ("run.rounds", -1, False),
+    ("run.rounds", 0, True),
+    ("run.local_epochs", 0, False),
+    ("run.local_epochs", 1, True),
+    ("run.batch_size", 0, False),
+    ("run.batch_size", 1, True),
+    ("run.probe_samples", 0, False),
+    ("run.probe_samples", 1, True),
+    ("data.classes", 1, False),
+    ("data.classes", 2, True),
+    ("data.input_dim", 0, False),
+    ("data.input_dim", 1, True),
+    ("data.train_per_class", 0, False),
+    ("data.train_per_class", 3, True),  # ten clients need ten samples
+    ("data.test_per_class", -1, False),
+    ("data.test_per_class", 0, True),
+    ("partition.clients", 0, False),
+    ("partition.clients", 1, True),
+    ("partition.mode", "sorted", False),
+    ("partition.mode", "dirichlet", True),
+    ("model.widths", (64,), False),
+    ("model.widths", (64, 0, 64), False),
+    ("model.widths", (16, 32, 48, 64), True),
+    ("model.split", 0, False),
+    ("model.split", 3, False),
+    ("model.split", 1, True),
+    ("optimizer.lr", -0.1, False),
+    ("optimizer.lr", _NAN, False),
+    ("optimizer.lr", 0.0, True),
+    ("embed.strength", -0.1, False),
+    ("embed.strength", 0.0, True),
+    ("embed.bits", 0, False),
+    ("embed.bits", 1, True),
+    ("verify.probes", 0, False),
+    ("verify.probes", 1, True),
+    ("verify.tau", 1.5, False),
+    ("verify.tau", _NAN, False),
+    ("verify.tau", 1.0, True),
+    ("noise.snr", 0.0, False),
+    ("noise.snr", _NAN, False),
+    ("noise.snr", math.inf, True),
+    ("attack.finetune_steps", -1, False),
+    ("attack.finetune_steps", 0, True),
+    ("attack.finetune_lr", -0.1, False),
+    ("attack.finetune_lr", _NAN, False),
+    ("attack.finetune_lr", 0.0, True),
+    ("attack.batch_size", 0, False),
+    ("attack.batch_size", 1, True),
+    ("attack.momentum", 1.0, False),
+    ("attack.momentum", _NAN, False),
+    ("attack.momentum", 0.0, True),
+    ("attack.prune_ratios", (0.5, 1.5), False),
+    ("attack.prune_ratios", (_NAN,), False),
+    ("attack.prune_ratios", (0.0, 1.0), True),
+    ("attack.quant_schemes", ("int8", "int2"), False),
+    ("attack.quant_schemes", ("fp16",), True),
+    ("attack.rounds_early", (3, 3), False),
+    ("attack.rounds_early", (-1, 2), False),
+    ("attack.rounds_early", (1,), False),
+    ("attack.rounds_early", (2, 5), True),
+    ("attack.rounds_late", (5, 4), False),
+    ("attack.rounds_late", (0, 1), True),
+    ("attack.n_main", 0, False),
+    ("attack.n_main", 1, True),
+    ("attack.k_prime", 0, False),
+    ("attack.k_prime", 1, True),
+    ("attack.gamma", -0.5, False),
+    ("attack.gamma", 0.0, True),
+    ("attack.ft_steps", -1, False),
+    ("attack.ft_steps", 0, True),
+    ("attack.ft_lr", -0.1, False),
+    ("attack.ft_lr", _NAN, False),
+    ("attack.ft_lr", 0.0, True),
+    ("calibrate.models", 1, False),
+    ("calibrate.models", 2, True),
+]
+
+
+def _text(value) -> str:
+    """A value as a config file writes it."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("key, value, accepted", _ROWS)
+def test_config_bounds_agree_with_the_library(key, value, accepted):
     def library_accepts():
         try:
             _LIBRARY[key](value)
@@ -217,13 +384,33 @@ def test_partition_sigma_bound_agrees_with_the_library(key, value, accepted):
 
     def config_accepts():
         try:
-            parse_config(f"{key} = {value}\n")
-        except ConfigError:
+            parse_config(f"{key} = {_text(value)}\n")
+        except ConfigError as exc:
+            assert key in str(exc)
             return False
         return True
 
     assert library_accepts() is accepted
     assert config_accepts() is accepted
+
+
+# The first rows again under the test's earlier name, so their ids stay stable.
+@pytest.mark.parametrize("key, value, accepted", _FIRST_ROWS)
+def test_partition_sigma_bound_agrees_with_the_library(key, value, accepted):
+    test_config_bounds_agree_with_the_library(key, value, accepted)
+
+
+def test_every_key_has_one_owner():
+    # A new key must name its library owner or join the config-owned keys.
+    assert set(_LIBRARY) | set(_CONFIG_OWNED) == set(SCHEMA)
+    assert not set(_LIBRARY) & set(_CONFIG_OWNED)
+    rows = [getattr(row, "values", row) for row in _ROWS]
+    for accepted in (True, False):
+        assert {key for key, _, acc in rows if acc is accepted} == set(_LIBRARY)
+    # The config skips the owner of a key at its default, so every default
+    # must be one its owner accepts.
+    for key, owner in _LIBRARY.items():
+        owner(SCHEMA[key][1])
 
 
 def test_parse_override_types_and_errors():

@@ -30,14 +30,9 @@ def _shard(seed=0, per_class=40):
     return make_blobs(rng, per_class, 3, 6, 0.4, 1.5)
 
 
-def _state(seed=0, fraction=0.5, quantile=0.99, k_nn=5):
+def _state(seed=0):
     return build_reference(
-        _shard(seed),
-        fraction,
-        _spec(),
-        RngStream(seed, StreamLabel.MODEL_INIT, (5,)),
-        k_nn=k_nn,
-        quantile=quantile,
+        _shard(seed), _spec(), RngStream(seed, StreamLabel.MODEL_INIT, (5,))
     )
 
 
@@ -146,19 +141,11 @@ def test_build_reference_validation():
     shard, spec = _shard(), _spec()
     rng = RngStream(0, StreamLabel.MODEL_INIT, (5,))
     with pytest.raises(ValueError):
-        build_reference(shard, 0.0, spec, rng)
-    with pytest.raises(ValueError):
-        build_reference(shard, 1.5, spec, rng)
-    with pytest.raises(ValueError):
-        build_reference(shard, 0.5, spec, rng, k_nn=0)
-    with pytest.raises(ValueError):
-        build_reference(shard, 0.5, spec, rng, quantile=1.0)
-    with pytest.raises(ValueError):
         # one epoch on a single row cannot feed a 5-NN calibration
-        build_reference(shard.subset(np.array([0])), 1.0, spec, rng, epochs=1)
+        build_reference(shard.subset(np.array([0])), spec, rng, epochs=1)
     with pytest.raises(ValueError, match="head"):
         # 3-class shard on a 2-output head
-        build_reference(shard, 0.5, _spec(classes=2), rng)
+        build_reference(shard, _spec(classes=2), rng)
 
 
 def test_score_round_rejects_bad_shapes():

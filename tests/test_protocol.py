@@ -116,8 +116,8 @@ def test_final_gradient_decomposes():
 
     g_main, a = outs["plain"]
     g_keyed, _ = outs["keyed"]
-    g_wm = wm_gradient(project(a, key), key)
-    expected = g_main + adaptive_clip(g_wm, embed, _norm(g_wm), _norm(g_main))
+    g_wm = wm_gradient(project(a[None], key), key)
+    expected = g_main + adaptive_clip(g_wm, embed, [_norm(g_wm)], [_norm(g_main)])[0]
     assert np.allclose(g_keyed, expected, atol=1e-12)
 
 
@@ -164,12 +164,12 @@ def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch)
 
     _, tape = forward_segment(model.middle, a)
     g_main, _ = backward_segment(model.middle, tape, g_initial)
-    p = project(a, key)
-    g_wm = wm_gradient(p, key)
-    g_clipped = adaptive_clip(g_wm, embed, _norm(g_wm), _norm(g_main))
+    p = project(a[None], key)
+    g_wm = wm_gradient(p, key)[0]
+    g_clipped = adaptive_clip(g_wm[None], embed, [_norm(g_wm)], [_norm(g_main)])[0]
     assert stats == (
         _norm(g_main),
-        wm_loss(p, key),
+        wm_loss(p, key)[0],
         _norm(g_wm),
         _norm(g_clipped),
         cosine(g_main, g_wm),
@@ -369,7 +369,7 @@ def test_run_determinism():
 def test_message_log_ordering_and_kinds():
     res = _run(seed=0, lam=0.1)
     res.message_log.verify_ordering()
-    assert res.message_log.kinds() == {
+    assert {m.kind for m in res.message_log.messages} == {
         MessageKind.ACTIVATION,
         MessageKind.LOGITS,
         MessageKind.INITIAL_GRADIENT,

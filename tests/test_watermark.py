@@ -8,6 +8,7 @@ import pytest
 from splitmark.linalg import RngStream, StreamLabel, gaussian_matrix, orthonormal_columns
 from splitmark.nn import LayerSpec, init_segment
 from splitmark.watermark import (
+    CALIBRATION_KEYS,
     EmbedConfig,
     WatermarkKey,
     adaptive_clip,
@@ -29,10 +30,16 @@ LN2 = 0.6931471805599453
 
 
 def _clip(g_wm, g_main, cfg):
-    """adaptive_clip given the two Frobenius norms, as grad_reply calls it."""
+    """adaptive_clip on a stack of one, given the two Frobenius norms, as
+    grad_reply calls it; returns replica 0."""
     return adaptive_clip(
-        g_wm, cfg, math.sqrt((g_wm**2).sum()), math.sqrt((g_main**2).sum())
-    )
+        g_wm[None], cfg, [math.sqrt((g_wm**2).sum())], [math.sqrt((g_main**2).sum())]
+    )[0]
+
+
+def _loss(a, key):
+    """wm_loss of one batch, as replica 0 of a stack of one."""
+    return wm_loss(project(a[None], key), key)[0]
 
 
 def _key(seed=0, d=32, k=8):
@@ -83,34 +90,34 @@ def test_key_validation():
 def test_wm_loss_at_zero_projection_is_ln2():
     key = _key(2)
     a = np.zeros((4, key.d))
-    assert np.isclose(wm_loss(project(a, key), key), LN2, atol=1e-12)
+    assert np.isclose(_loss(a, key), LN2, atol=1e-12)
 
 
 def test_wm_loss_single_bit_closed_form():
     # projection 2.0 toward bit 1: BCE = ln(1 + e^-2)
     key = WatermarkKey(np.array([[1.0]]), np.array([1.0]))
     a = np.array([[2.0]])
-    assert np.isclose(wm_loss(project(a, key), key), 0.1269280110429726, atol=1e-12)
+    assert np.isclose(_loss(a, key), 0.1269280110429726, atol=1e-12)
 
 
 def test_wm_loss_saturates_to_zero():
     key = WatermarkKey(np.array([[1.0]]), np.array([1.0]))
-    assert wm_loss(project(np.array([[40.0]]), key), key) < 1e-12
+    assert _loss(np.array([[40.0]]), key) < 1e-12
 
 
 def test_wm_gradient_matches_finite_differences():
     rng = RngStream(3, StreamLabel.WATERMARK_KEY)
     key = _key(3, d=32, k=8)
     a = gaussian_matrix(rng.child(1), 4, 32)
-    g = wm_gradient(project(a, key), key)
+    g = wm_gradient(project(a[None], key), key)[0]
     h = 1e-6
     worst = 0.0
     for idx in range(0, a.size, 7):
         orig = a.ravel()[idx]
         a.ravel()[idx] = orig + h
-        up = wm_loss(project(a, key), key)
+        up = _loss(a, key)
         a.ravel()[idx] = orig - h
-        down = wm_loss(project(a, key), key)
+        down = _loss(a, key)
         a.ravel()[idx] = orig
         fd = (up - down) / (2 * h)
         worst = max(worst, abs(fd - g.ravel()[idx]) / max(1e-8, abs(g.ravel()[idx])))
@@ -122,14 +129,14 @@ def test_wm_gradient_vanishes_when_converged():
     # saturate projections toward the target bits
     signs = np.where(key.bits > 0.5, 1.0, -1.0)
     a = 20.0 * (np.linalg.pinv(key.m.T) @ signs)[None, :]
-    g = wm_gradient(project(a, key), key)
+    g = wm_gradient(project(a[None], key), key)[0]
     assert np.linalg.norm(g) < 1e-6
 
 
 def test_wm_gradient_lives_in_key_span():
     key = _key(5, d=24, k=6)
     a = gaussian_matrix(RngStream(9, StreamLabel.DATA), 5, 24)
-    g = wm_gradient(project(a, key), key)
+    g = wm_gradient(project(a[None], key), key)[0]
     q = orthonormal_columns(key.m)
     residual = g - (g @ q) @ q.T
     rows = np.linalg.norm(residual, axis=1)
@@ -268,12 +275,11 @@ def test_calibrate_threshold_separates_populations():
         k=8,
         key_rng=RngStream(0, StreamLabel.WATERMARK_KEY, (1,)),
         probe_rng=RngStream(0, StreamLabel.VERIFICATION, (4,)),
-        n_keys=12,
         n_samples=64,
     )
     assert 0.4 < calib.mean < 0.6
     assert calib.tau_5sigma > float(calib.null_wsrs.max()) or calib.degenerate
-    assert len(calib.null_wsrs) == 36
+    assert len(calib.null_wsrs) == 3 * CALIBRATION_KEYS
 
 
 def test_calibrate_threshold_validation():
