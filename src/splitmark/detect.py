@@ -5,7 +5,7 @@ the full model on a fraction of its own shard and records the per-sample
 gradients that appear at the split point. Those rows are the client's
 picture of honest gradient geometry. Honest gradients shrink as the loss
 falls, so each reference row r stands for the whole segment [0, r], and a
-received row is novel when its mean distance to the k_nn nearest segments
+received row is novel when its mean distance to the K_NN nearest segments
 exceeds the calibrated threshold, both in absolute terms and relative to
 the row's own norm. Rows scaled down from honest ones are never novel.
 
@@ -20,7 +20,7 @@ things keep honest novelty from counting:
   after round) is not novel twice;
 - a novel row counts as an outlier only if it is one of two kinds of
   tampering. Overlong: its direction is as familiar as honest rows are to
-  each other (mean distance to the k_nn nearest rays through the same
+  each other (mean distance to the K_NN nearest rays through the same
   rows within relative_threshold of its norm) and only its length is not,
   as when a server scales honest gradients up. Shared: its cosine with the
   sum of the round's other rows exceeds what honest rows show
@@ -30,26 +30,29 @@ things keep honest novelty from counting:
   key column's coefficient. Honest per-sample gradients point by each
   sample's own error.
 
-All three thresholds are derived from the reference, so a state is
-rebuilt from (reference, k_nn, quantile) alone.
+All three thresholds are derived from the reference with K_NN and
+QUANTILE, so a state is rebuilt from its reference alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset
 from .linalg import RngStream
 from .nn import (
-    OptimizerConfig,
     SplitSpec,
     backward_segment,
     forward_segment,
     init_split_model,
     softmax_xent,
 )
+
+if TYPE_CHECKING:
+    from .protocol import ProtocolConfig
 
 __all__ = [
     "MEMORY_ROUNDS",
@@ -77,30 +80,26 @@ QUANTILE = 0.99
 class DetectorState:
     """Calibrated reference cloud, thresholds and recent traffic.
 
-    Each threshold is the `quantile` of a statistic of the reference rows
+    Each threshold is the QUANTILE of a statistic of the reference rows
     against the other reference rows: threshold of the segment score,
     relative_threshold of the segment score over the row's norm,
     coherence_threshold of the cosine with the sum of the other rows.
     """
 
     reference: np.ndarray
-    k_nn: int
-    quantile: float
     recent: list[np.ndarray] = field(default_factory=list)
     threshold: float = field(init=False)
     relative_threshold: float = field(init=False)
     coherence_threshold: float = field(init=False)
 
     def __post_init__(self):
-        scores = _knn_distances(
-            self.reference, self.reference, self.k_nn, skip_self=True
-        )
-        self.threshold = float(np.quantile(scores, self.quantile))
+        scores = _knn_distances(self.reference, self.reference, K_NN, skip_self=True)
+        self.threshold = float(np.quantile(scores, QUANTILE))
         norms = np.sqrt((self.reference**2).sum(axis=1))
         ratios = np.divide(scores, norms, out=np.zeros_like(scores), where=norms > 0.0)
-        self.relative_threshold = float(np.quantile(ratios, self.quantile))
+        self.relative_threshold = float(np.quantile(ratios, QUANTILE))
         self.coherence_threshold = float(
-            np.quantile(_coherence(self.reference), self.quantile)
+            np.quantile(_coherence(self.reference), QUANTILE)
         )
 
 
@@ -161,25 +160,18 @@ def _coherence(rows: np.ndarray) -> np.ndarray:
 
 
 def build_reference(
-    shard: Dataset,
-    spec: SplitSpec,
-    rng: RngStream,
-    opt: OptimizerConfig = OptimizerConfig(),
-    epochs: int = 2,
-    batch_size: int = 25,
+    shard: Dataset, spec: SplitSpec, rng: RngStream, cfg: ProtocolConfig
 ) -> DetectorState:
     """Shadow-train a local full model and calibrate the outlier threshold.
 
     The shadow model is freshly initialized from the detector's stream and
-    trained for `epochs` passes over a REFERENCE_FRACTION subset of the
-    client's data; every batch contributes its per-sample split-point
-    gradient rows to the reference. The threshold is the QUANTILE of each
-    reference row's mean distance to the segments of its K_NN nearest
-    other rows, so scoring the reference against itself flags at most a
-    (1 - QUANTILE) fraction.
+    trained as the clients train (cfg's optimizer, local epochs and batch
+    size) over a REFERENCE_FRACTION subset of the client's data; every
+    batch contributes its per-sample split-point gradient rows to the
+    reference. The threshold is the QUANTILE of each reference row's mean
+    distance to the segments of its K_NN nearest other rows, so scoring
+    the reference against itself flags at most a (1 - QUANTILE) fraction.
     """
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
     if shard.n_classes > spec.n_classes:
         raise ValueError(
             f"shard has {shard.n_classes} classes, more than the head's "
@@ -188,18 +180,18 @@ def build_reference(
     n_sub = max(1, int(round(REFERENCE_FRACTION * len(shard))))
     sel = rng.permutation(len(shard))[:n_sub]
     sub = shard.subset(sel)
-    if epochs * n_sub < K_NN + 1:
+    if cfg.local_epochs * n_sub < K_NN + 1:
         raise ValueError(
-            f"shadow training would yield {epochs * n_sub} reference rows, "
+            f"shadow training would yield {cfg.local_epochs * n_sub} reference rows, "
             f"need at least {K_NN + 1}"
         )
     model = init_split_model(spec, rng)
-    optimizer = opt.build()
+    optimizer = cfg.opt.build()
     rows = []
-    for _ in range(epochs):
+    for _ in range(cfg.local_epochs):
         order = rng.permutation(len(sub))
-        for start in range(0, len(sub), batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, len(sub), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
             x, y = sub.inputs[idx], sub.labels[idx]
             a, tape_b = forward_segment(model.bottom, x)
             s, tape_m = forward_segment(model.middle, a)
@@ -215,7 +207,7 @@ def build_reference(
                 [model.bottom, model.middle, model.head],
                 [bottom_grads, middle_grads, head_grads],
             )
-    state = DetectorState(np.vstack(rows), K_NN, QUANTILE)
+    state = DetectorState(np.vstack(rows))
     if state.threshold <= 0.0:
         raise ValueError("degenerate reference: calibrated threshold is zero")
     return state
@@ -224,7 +216,7 @@ def build_reference(
 def score_round(state: DetectorState, received: np.ndarray) -> int:
     """Count outlier rows in one round's received gradients.
 
-    A row is novel when its mean distance to its k_nn nearest segments,
+    A row is novel when its mean distance to its K_NN nearest segments,
     over the reference and the last MEMORY_ROUNDS rounds of received rows,
     exceeds both the threshold and relative_threshold times its own norm.
     A novel row is an outlier when it is overlong (its ray distance is
@@ -238,10 +230,10 @@ def score_round(state: DetectorState, received: np.ndarray) -> int:
             f"received gradients must be 2-D with width {state.reference.shape[1]}"
         )
     anchors = np.vstack([state.reference, *state.recent])
-    seg = _knn_distances(rows, anchors, state.k_nn)
+    seg = _knn_distances(rows, anchors, K_NN)
     bound = state.relative_threshold * np.sqrt((rows**2).sum(axis=1))
     novel = (seg > state.threshold) & (seg > bound)
-    ray = _knn_distances(rows[novel], anchors, state.k_nn, rays=True)
+    ray = _knn_distances(rows[novel], anchors, K_NN, rays=True)
     overlong = ray <= bound[novel]
     shared = _coherence(rows)[novel] > state.coherence_threshold
     state.recent = [*state.recent, rows][-MEMORY_ROUNDS:]

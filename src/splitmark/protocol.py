@@ -24,8 +24,8 @@ clients of a round are independent, so clients with equally long shards,
 which share one batch schedule, train in lockstep as a group: each step
 stacks batch j of every client in the group along a leading replica axis
 and runs the four messages once for all of them, against G replicas of
-the bottom, middle and head segments (see nn). Each client keeps its own
-shuffle and noise streams, its own four logged messages and its own
+the bottom, middle and head segments (see nn), and logs each message once
+per step. Each client keeps its own shuffle and noise streams and its own
 BatchStats per batch; stats are kept client by client and FedAvg sums in
 client order, so a run gives the same bits as training the clients one
 after another. IID shards of equal size form one group, a skewed
@@ -74,18 +74,15 @@ class ProtocolError(RuntimeError):
 
 
 class MessageKind(Enum):
+    """The four boundary messages, in the order one step exchanges them."""
+
     ACTIVATION = "activation"
     LOGITS = "logits"
     INITIAL_GRADIENT = "initial_gradient"
     FINAL_GRADIENT = "final_gradient"
 
 
-_BATCH_SEQUENCE = (
-    MessageKind.ACTIVATION,
-    MessageKind.LOGITS,
-    MessageKind.INITIAL_GRADIENT,
-    MessageKind.FINAL_GRADIENT,
-)
+_BATCH_SEQUENCE = tuple(MessageKind)
 
 
 class Message(NamedTuple):
@@ -99,20 +96,32 @@ class Message(NamedTuple):
 
 
 class MessageLog:
-    """Append-only record of every tensor that crossed the split boundary."""
+    """Append-only record of every tensor that crossed the split boundary:
+    one entry (kind, round_idx, clients, batch, shape) per kind per lockstep
+    step, with the group's client tuple and each client's own shape."""
 
     def __init__(self):
-        self.messages: list[Message] = []
+        self.entries: list[tuple] = []
 
-    def append(self, kind, round_idx, client, batch, shape: tuple[int, ...]) -> None:
-        self.messages.append(Message(kind, round_idx, client, batch, shape))
+    def append(self, kind, round_idx, clients, batch, shape: tuple[int, ...]) -> None:
+        self.entries.append((kind, round_idx, clients, batch, shape))
+
+    @property
+    def messages(self) -> list[Message]:
+        """The entries read back as one Message per client, in group order."""
+        return [
+            Message(kind, round_idx, ci, batch, shape)
+            for kind, round_idx, clients, batch, shape in self.entries
+            for ci in clients
+        ]
 
     def verify_ordering(self) -> None:
         """Every (round, client, batch) triple must show the exact
         four-message sequence; anything else raises ProtocolError."""
         groups: dict[tuple[int, int, int], list[MessageKind]] = {}
-        for m in self.messages:
-            groups.setdefault((m.round_idx, m.client, m.batch), []).append(m.kind)
+        for kind, round_idx, clients, batch, _ in self.entries:
+            for ci in clients:
+                groups.setdefault((round_idx, ci, batch), []).append(kind)
         for key, kinds in groups.items():
             if tuple(kinds) != _BATCH_SEQUENCE:
                 raise ProtocolError(
@@ -315,26 +324,22 @@ def train_batch(
     """One full exchange over batch batch_idx of every client in the group.
 
     x is the (G, batch, in_dim) stack of the group's inputs and y the
-    (G, batch) labels. Each message is logged once per client, with that
+    (G, batch) labels. Each message is logged once for the group, with each
     client's own (batch, width) shape. Returns one BatchStats per client,
     in the group's order, and the (G, batch, split) final gradients as
     sent by the server (before any client-side noise).
     """
     clients = client.clients
     a = client.bottom_forward(x)
-    for ci in clients:
-        log.append(MessageKind.ACTIVATION, round_idx, ci, batch_idx, a.shape[1:])
+    log.append(MessageKind.ACTIVATION, round_idx, clients, batch_idx, a.shape[1:])
     s = server.middle_forward(a)
-    for ci in clients:
-        log.append(MessageKind.LOGITS, round_idx, ci, batch_idx, s.shape[1:])
+    log.append(MessageKind.LOGITS, round_idx, clients, batch_idx, s.shape[1:])
     losses, accs, g_initial = client.head_step(s, y)
-    for ci in clients:
-        log.append(
-            MessageKind.INITIAL_GRADIENT, round_idx, ci, batch_idx, g_initial.shape[1:]
-        )
+    log.append(
+        MessageKind.INITIAL_GRADIENT, round_idx, clients, batch_idx, g_initial.shape[1:]
+    )
     g_final, replies = server.grad_reply(g_initial)
-    for ci in clients:
-        log.append(MessageKind.FINAL_GRADIENT, round_idx, ci, batch_idx, g_final.shape[1:])
+    log.append(MessageKind.FINAL_GRADIENT, round_idx, clients, batch_idx, g_final.shape[1:])
     client.apply_final(g_final)
     stats = [
         BatchStats(*reply, loss, acc)

@@ -83,9 +83,7 @@ def build_detector(cfg: Config, shards: list[Dataset]) -> DetectorState:
             shards[ProtocolConfig.detector_client],
             cfg.split_spec(),
             RngStream(cfg["run.seed"], StreamLabel.MODEL_INIT, (5,)),
-            opt=cfg.optimizer(),
-            epochs=cfg["run.local_epochs"],
-            batch_size=cfg["run.batch_size"],
+            cfg.protocol(),
         )
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from None

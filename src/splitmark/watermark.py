@@ -251,19 +251,22 @@ def verify(
     )
 
 
-def summarize_null(
-    null_wsrs, sigma_multiplier: float = 5.0, std_floor: float = 1e-6
-) -> NullCalibration:
+# tau_5sigma's multiplier, and the floor under a degenerate null std.
+SIGMA_MULTIPLIER = 5.0
+STD_FLOOR = 1e-6
+
+
+def summarize_null(null_wsrs) -> NullCalibration:
     """Fit mean/std to null WSRs and place the threshold 5 sigma above."""
     wsrs = np.asarray(null_wsrs, dtype=np.float64).ravel()
     if wsrs.size < 2:
         raise ValueError("need at least 2 null WSR values")
     mean = float(wsrs.mean())
     std = float(wsrs.std(ddof=1))
-    degenerate = std < std_floor
+    degenerate = std < STD_FLOOR
     if degenerate:
-        std = std_floor
-    tau = min(1.0, max(0.0, mean + sigma_multiplier * std))
+        std = STD_FLOOR
+    tau = min(1.0, max(0.0, mean + SIGMA_MULTIPLIER * std))
     return NullCalibration(wsrs, mean, std, tau, degenerate)
 
 

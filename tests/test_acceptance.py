@@ -477,7 +477,7 @@ def _count_means(bundles: list[RunBundle], states: dict[int, DetectorState]):
     means = []
     for bundle in bundles:
         st = states[bundle.cfg["run.seed"]]
-        fresh = DetectorState(st.reference, st.k_nn, st.quantile)
+        fresh = DetectorState(st.reference)
         counts = [
             score_round(fresh, bundle.res.grad_rounds[t])
             for t in sorted(bundle.res.grad_rounds)
@@ -496,7 +496,7 @@ def test_10_detector_flags_only_the_loud_embedding(
 
     for bundle in heavy_runs:
         st = states[bundle.cfg["run.seed"]]
-        fresh = DetectorState(st.reference, st.k_nn, st.quantile)
+        fresh = DetectorState(st.reference)
         recounted = [
             score_round(fresh, bundle.res.grad_rounds[t])
             for t in sorted(bundle.res.grad_rounds)

@@ -7,7 +7,9 @@ import pytest
 
 from splitmark.data import make_blobs
 from splitmark.detect import (
+    K_NN,
     MEMORY_ROUNDS,
+    QUANTILE,
     DetectorState,
     build_reference,
     is_alert,
@@ -15,6 +17,7 @@ from splitmark.detect import (
 )
 from splitmark.linalg import RngStream, StreamLabel
 from splitmark.nn import LayerSpec, SplitSpec
+from splitmark.protocol import ProtocolConfig
 
 
 def _spec(in_dim=6, width=10, classes=3):
@@ -32,7 +35,10 @@ def _shard(seed=0, per_class=40):
 
 def _state(seed=0):
     return build_reference(
-        _shard(seed), _spec(), RngStream(seed, StreamLabel.MODEL_INIT, (5,))
+        _shard(seed),
+        _spec(),
+        RngStream(seed, StreamLabel.MODEL_INIT, (5,)),
+        ProtocolConfig(n_rounds=0),
     )
 
 
@@ -42,7 +48,7 @@ def test_reference_rows_score_under_the_quantile_budget():
     state = _state()
     m = state.reference.shape[0]
     count = score_round(state, state.reference)
-    assert count <= math.ceil((1.0 - state.quantile) * m)
+    assert count <= math.ceil((1.0 - QUANTILE) * m)
 
 
 def test_scaled_gradients_all_flagged():
@@ -58,7 +64,7 @@ def test_scaled_down_rows_within_budget():
         state = _state()
         m = state.reference.shape[0]
         count = score_round(state, state.reference * factor)
-        assert count <= math.ceil((1.0 - state.quantile) * m)
+        assert count <= math.ceil((1.0 - QUANTILE) * m)
 
 
 def _rotated(state, scale):
@@ -74,7 +80,7 @@ def test_rotated_honest_traffic_within_budget():
     # Novel to the shadow, but neither overlong nor sharing a direction
     # beyond the calibration tail of each of the two kinds.
     state = _state()
-    budget = math.ceil((1.0 - state.quantile) * state.reference.shape[0])
+    budget = math.ceil((1.0 - QUANTILE) * state.reference.shape[0])
     assert score_round(state, _rotated(state, 3.0)) <= 2 * budget
 
 
@@ -106,7 +112,7 @@ def test_recent_rounds_extend_the_reference():
 
 def test_state_rebuilds_from_its_calibration():
     state = _state()
-    fresh = DetectorState(state.reference, state.k_nn, state.quantile)
+    fresh = DetectorState(state.reference)
     assert fresh.threshold == state.threshold
     assert fresh.relative_threshold == state.relative_threshold
     assert fresh.coherence_threshold == state.coherence_threshold
@@ -134,7 +140,7 @@ def test_threshold_positive_and_state_shape():
     assert state.threshold > 0.0
     assert state.reference.ndim == 2
     assert state.reference.shape[1] == _spec().split_dim
-    assert state.k_nn == 5 and state.recent == []
+    assert K_NN == 5 and state.recent == []
 
 
 def test_build_reference_validation():
@@ -142,10 +148,12 @@ def test_build_reference_validation():
     rng = RngStream(0, StreamLabel.MODEL_INIT, (5,))
     with pytest.raises(ValueError):
         # one epoch on a single row cannot feed a 5-NN calibration
-        build_reference(shard.subset(np.array([0])), spec, rng, epochs=1)
+        build_reference(
+            shard.subset(np.array([0])), spec, rng, ProtocolConfig(n_rounds=0, local_epochs=1)
+        )
     with pytest.raises(ValueError, match="head"):
         # 3-class shard on a 2-output head
-        build_reference(shard, _spec(classes=2), rng)
+        build_reference(shard, _spec(classes=2), rng, ProtocolConfig(n_rounds=0))
 
 
 def test_score_round_rejects_bad_shapes():

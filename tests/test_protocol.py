@@ -1,6 +1,7 @@
 """The four-message split protocol, FedAvg, and the experiment loop."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -379,10 +380,36 @@ def test_message_log_ordering_and_kinds():
 
 def test_message_log_rejects_bad_order():
     log = MessageLog()
-    log.append(MessageKind.ACTIVATION, 0, 0, 0, (1, 2))
-    log.append(MessageKind.INITIAL_GRADIENT, 0, 0, 0, (1, 2))
+    log.append(MessageKind.ACTIVATION, 0, (0,), 0, (1, 2))
+    log.append(MessageKind.INITIAL_GRADIENT, 0, (0,), 0, (1, 2))
     with pytest.raises(ProtocolError):
         log.verify_ordering()
+
+
+def test_message_log_rejects_a_client_in_two_steps_of_one_batch():
+    # Each step's entries alone are a full sequence; client 0 is in both,
+    # so its (round, batch) shows the four kinds twice.
+    log = MessageLog()
+    for clients in ((0, 1), (2, 0)):
+        for kind in protocol._BATCH_SEQUENCE:
+            log.append(kind, 0, clients, 0, (1, 2))
+    with pytest.raises(ProtocolError, match=r"\(0, 0, 0\)"):
+        log.verify_ordering()
+
+
+def test_message_log_reads_entries_back_per_client():
+    log = MessageLog()
+    for batch in (0, 1):
+        for kind in protocol._BATCH_SEQUENCE:
+            log.append(kind, 2, (3, 1), batch, (5, 4))
+    log.verify_ordering()
+    assert len(log.entries) == 8
+    assert log.messages == [
+        protocol.Message(kind, 2, ci, batch, (5, 4))
+        for batch in (0, 1)
+        for kind in protocol._BATCH_SEQUENCE
+        for ci in (3, 1)
+    ]
 
 
 def test_clip_invariant_on_batch_stats():
@@ -518,6 +545,7 @@ def test_lockstep_groups_match_clients_trained_one_by_one(noise):
     ]
     server = ServerWorker(key=key, embed=embed)
     model = init_split_model(spec, RngStream(seed, StreamLabel.MODEL_INIT))
+    log = MessageLog()
     stats, rows = [], {}
     for t in range(pcfg.n_rounds):
         trained = []
@@ -530,9 +558,7 @@ def test_lockstep_groups_match_clients_trained_one_by_one(noise):
                 for start in range(0, len(shard), pcfg.batch_size):
                     sel = order[start : start + pcfg.batch_size]
                     x, y = shard.inputs[sel][None], shard.labels[sel][None]
-                    (st,), g_final = train_batch(
-                        client, server, x, y, MessageLog(), t, batch_idx
-                    )
+                    (st,), g_final = train_batch(client, server, x, y, log, t, batch_idx)
                     batch_idx += 1
                     stats.append(st)
                     if ci == pcfg.detector_client:
@@ -551,3 +577,9 @@ def test_lockstep_groups_match_clients_trained_one_by_one(noise):
         assert segments_equal(getattr(res.model, name), getattr(model, name))
     res.message_log.verify_ordering()
     assert len(res.message_log.messages) == 4 * len(stats)
+    assert Counter(res.message_log.messages) == Counter(log.messages)
+    # One entry per kind per lockstep step: each shard length is one group.
+    steps = pcfg.n_rounds * sum(
+        pcfg.local_epochs * math.ceil(n / pcfg.batch_size) for n in {len(s) for s in shards}
+    )
+    assert len(res.message_log.entries) == 4 * steps
