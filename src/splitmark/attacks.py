@@ -22,15 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .linalg import RngStream, as_matrix, orthonormal_columns, pca
-from .nn import (
-    LayerSpec,
-    OptimizerConfig,
-    Segment,
-    backward_segment,
-    forward_segment,
-    init_segment,
-    softmax_xent,
-)
+from .nn import LayerSpec, Segment, SgdOptimizer, init_segment, sgd_step
 
 __all__ = [
     "NoiseSpec",
@@ -111,7 +103,7 @@ def finetune(
     head = init_segment(
         [LayerSpec(bottom.out_dim, shard.n_classes, "identity")], rng
     )
-    opt = OptimizerConfig(lr=lr, momentum=momentum).build()
+    opt = SgdOptimizer(lr, momentum)
     order = np.empty(0, dtype=np.int64)
     pos = 0
     for _ in range(steps):
@@ -120,16 +112,7 @@ def finetune(
             pos = 0
         sel = order[pos : pos + batch_size]
         pos += batch_size
-        x, y = shard.inputs[sel], shard.labels[sel]
-        a, tape_b = forward_segment(work, x)
-        logits, tape_h = forward_segment(head, a)
-        _, g_logits = softmax_xent(logits, y)
-        g_split, head_grads = backward_segment(head, tape_h, g_logits)
-        if penalty is not None:
-            _, g_pen = penalty(a)
-            g_split = g_split + g_pen
-        _, bottom_grads = backward_segment(work, tape_b, g_split, need_input_grad=False)
-        opt.step([work, head], [bottom_grads, head_grads])
+        sgd_step(opt, [work, head], shard.inputs[sel], shard.labels[sel], penalty)
     return work, head
 
 
@@ -240,8 +223,10 @@ class AdaptiveAttackConfig:
                 raise ValueError(f"{name} must be two ints forming a non-empty [start, stop)")
         if self.n_main < 1 or self.k_prime < 1:
             raise ValueError("n_main and k_prime must be >= 1")
-        if not (self.gamma >= 0.0 and self.ft_steps >= 0 and self.ft_lr >= 0.0):
-            raise ValueError("gamma, ft_steps, ft_lr must be >= 0")
+        if not self.gamma >= 0.0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        check_finetune(self.ft_steps, self.batch_size)
+        SgdOptimizer(self.ft_lr, self.momentum)
 
 
 def estimate_subspace(

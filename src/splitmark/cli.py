@@ -18,7 +18,14 @@ import sys
 from .config import ATTACK_KINDS, Config, ConfigError, load_config, parse_override
 from .linalg import NumericalError, RngStream, StreamLabel
 from .nn import load_model
-from .runner import build_data, build_shards, execute_calibration, execute_run, run_attacks
+from .runner import (
+    build_data,
+    build_shards,
+    execute_calibration,
+    execute_run,
+    run_attacks,
+    write_json,
+)
 from .watermark import check_verify, load_key, verify
 
 EXIT_OK = 0
@@ -229,13 +236,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     train, test = build_data(cfg)
     shards = build_shards(cfg, train)
     results = run_attacks(cfg, model, {}, key, shards, test)
-    text = json.dumps(results, indent=2, sort_keys=True)
+    path = None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "attacks.json")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(write_json(results, path), end="")
     return EXIT_OK
 
 

@@ -43,13 +43,7 @@ import numpy as np
 
 from .data import Dataset
 from .linalg import RngStream
-from .nn import (
-    SplitSpec,
-    backward_segment,
-    forward_segment,
-    init_split_model,
-    softmax_xent,
-)
+from .nn import SplitSpec, init_split_model, sgd_step
 
 if TYPE_CHECKING:
     from .protocol import ProtocolConfig
@@ -186,27 +180,15 @@ def build_reference(
             f"need at least {K_NN + 1}"
         )
     model = init_split_model(spec, rng)
+    segments = [model.bottom, model.middle, model.head]
     optimizer = cfg.opt.build()
     rows = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(len(sub))
         for start in range(0, len(sub), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            x, y = sub.inputs[idx], sub.labels[idx]
-            a, tape_b = forward_segment(model.bottom, x)
-            s, tape_m = forward_segment(model.middle, a)
-            logits, tape_h = forward_segment(model.head, s)
-            _, g_logits = softmax_xent(logits, y)
-            g_s, head_grads = backward_segment(model.head, tape_h, g_logits)
-            g_a, middle_grads = backward_segment(model.middle, tape_m, g_s)
+            g_a = sgd_step(optimizer, segments, sub.inputs[idx], sub.labels[idx])
             rows.append(g_a.copy())
-            _, bottom_grads = backward_segment(
-                model.bottom, tape_b, g_a, need_input_grad=False
-            )
-            optimizer.step(
-                [model.bottom, model.middle, model.head],
-                [bottom_grads, middle_grads, head_grads],
-            )
     state = DetectorState(np.vstack(rows))
     if state.threshold <= 0.0:
         raise ValueError("degenerate reference: calibrated threshold is zero")

@@ -326,6 +326,27 @@ class SgdOptimizer:
                 raise NumericalError("non-finite parameter after optimizer step")
 
 
+def sgd_step(opt: SgdOptimizer, segments: list[Segment], x, y, penalty=None) -> np.ndarray:
+    """One softmax cross-entropy SGD step of opt on a chain of segments,
+    with inputs x and integer labels y. penalty, when given, maps the first
+    segment's output to (loss, dLoss/dOutput), and its gradient is added
+    there. Returns the gradient that reached the first segment's output."""
+    a, tape = forward_segment(segments[0], x)
+    out, tapes = a, [tape]
+    for seg in segments[1:]:
+        out, tape = forward_segment(seg, out)
+        tapes.append(tape)
+    _, g = softmax_xent(out, y)
+    grads = [None] * len(segments)
+    for i in range(len(segments) - 1, 0, -1):
+        g, grads[i] = backward_segment(segments[i], tapes[i], g)
+    if penalty is not None:
+        g = g + penalty(a)[1]
+    _, grads[0] = backward_segment(segments[0], tapes[0], g, need_input_grad=False)
+    opt.step(segments, grads)
+    return g
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     lr: float = 0.05

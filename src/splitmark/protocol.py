@@ -61,6 +61,7 @@ from .watermark import (
     EmbedConfig,
     WatermarkKey,
     adaptive_clip,
+    check_probes,
     compose,
     project,
     verify,
@@ -181,7 +182,6 @@ class ClientWorker:
         self.head: Segment | None = None
         self._opt = None
         self._tape_bottom = None
-        self._tape_head = None
         self._head_grads = None
 
     def start_round(self, bottom: Segment, head: Segment, opt_cfg: OptimizerConfig):
@@ -204,11 +204,9 @@ class ClientWorker:
         arrays. The head's own parameter gradients are held back and
         applied together with the bottom's in apply_final.
         """
-        logits, self._tape_head = forward_segment(self.head, s)
+        logits, tape = forward_segment(self.head, s)
         loss, g_logits = softmax_xent(logits, labels)
-        g_initial, self._head_grads = backward_segment(
-            self.head, self._tape_head, g_logits
-        )
+        g_initial, self._head_grads = backward_segment(self.head, tape, g_logits)
         return loss, accuracy(logits, labels), g_initial
 
     def apply_final(self, g_final: np.ndarray) -> None:
@@ -383,10 +381,11 @@ class ProtocolConfig:
     detector_client: ClassVar[int] = 0
 
     def __post_init__(self):
-        lows = {"n_rounds": 0, "local_epochs": 1, "batch_size": 1, "probe_samples": 1}
+        lows = {"n_rounds": 0, "local_epochs": 1, "batch_size": 1}
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        check_probes(self.probe_samples)
 
 
 @dataclass

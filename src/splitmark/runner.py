@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import astuple, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
     "build_data",
     "build_shards",
     "build_detector",
+    "TrainedRun",
+    "train_run",
     "execute_run",
     "execute_calibration",
     "run_attacks",
@@ -89,6 +92,36 @@ def build_detector(cfg: Config, shards: list[Dataset]) -> DetectorState:
         raise ConfigError(f"detector: {exc}") from None
 
 
+class TrainedRun(NamedTuple):
+    """One trained run with the key, shards and test set it was built from."""
+
+    result: RunResult
+    key: WatermarkKey | None
+    shards: list[Dataset]
+    test: Dataset
+
+
+def train_run(cfg: Config) -> TrainedRun:
+    """Build what the config describes and train it: data, shards, the key
+    (when embedding), the detector (when detector.enabled) and noise, in
+    that order, then one run_experiment call."""
+    seed = cfg["run.seed"]
+    train, test = build_data(cfg)
+    shards = build_shards(cfg, train)
+    spec, embed = cfg.split_spec(), cfg.embed()
+    key = None
+    if embed is not None:
+        key = keygen(
+            RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, cfg["embed.bits"]
+        )
+    detector = build_detector(cfg, shards) if cfg["detector.enabled"] else None
+    res = run_experiment(
+        spec, cfg.protocol(), shards, test, seed,
+        key=key, embed=embed, noise=cfg.noise(), detector=detector,
+    )
+    return TrainedRun(res, key, shards, test)
+
+
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
@@ -105,22 +138,20 @@ def write_metrics_csv(res: RunResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _json_ready(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+def write_json(doc, path: str | None) -> str:
+    """The one JSON file format: indent 2, sorted keys, ASCII with escapes,
+    Unix line ends and a trailing newline; tuples and NumPy scalars go out
+    as lists and Python numbers. Writes doc to path, unless path is None,
+    and returns the text."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.item()) + "\n"
+    if path is not None:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    return text
 
 
 def write_manifest(cfg: Config, results: dict, path: str) -> None:
-    doc = {
-        "config": {k: _json_ready(v) for k, v in cfg.values.items()},
-        "results": results,
-    }
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"config": cfg.values, "results": results}, path)
 
 
 def _surrogate_acc(bottom, head, test: Dataset) -> float:
@@ -239,31 +270,7 @@ def execute_run(cfg: Config, out_dir: str | None = None) -> dict:
     out = out_dir or cfg["run.out"]
     os.makedirs(out, exist_ok=True)
     seed = cfg["run.seed"]
-
-    train, test = build_data(cfg)
-    shards = build_shards(cfg, train)
-    spec = cfg.split_spec()
-
-    key = None
-    embed = cfg.embed()
-    if embed is not None:
-        key = keygen(
-            RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, cfg["embed.bits"]
-        )
-
-    detector = build_detector(cfg, shards) if cfg["detector.enabled"] else None
-
-    res = run_experiment(
-        spec,
-        cfg.protocol(),
-        shards,
-        test,
-        seed,
-        key=key,
-        embed=embed,
-        noise=cfg.noise(),
-        detector=detector,
-    )
+    res, key, shards, test = train_run(cfg)
 
     results: dict = {
         "rounds": cfg["run.rounds"],
@@ -282,7 +289,7 @@ def execute_run(cfg: Config, out_dir: str | None = None) -> dict:
         results["wsr_passed"] = report.passed
         results["tau"] = report.threshold
         save_key(key, os.path.join(out, "key.txt"))
-    if detector is not None:
+    if cfg["detector.enabled"]:
         counts = [m.outliers for m in res.metrics]
         results["detector"] = {
             "counts": counts,
@@ -302,28 +309,19 @@ def execute_run(cfg: Config, out_dir: str | None = None) -> dict:
 def execute_calibration(cfg: Config, out_dir: str | None = None) -> dict:
     """Train clean models on consecutive seeds and fit the null threshold.
 
-    Embedding is forced off for the training runs; calibrate.models sets
-    the number of models, each crossed with CALIBRATION_KEYS fresh keys.
-    Writes calibration.json.
+    Embedding, noise and the detector are forced off for the training
+    runs; calibrate.models sets the number of models, each crossed with
+    CALIBRATION_KEYS fresh keys. Writes calibration.json.
     """
     out = out_dir or cfg["run.out"]
     os.makedirs(out, exist_ok=True)
     base_seed = cfg["run.seed"]
-    spec = cfg.split_spec()
+    clean_off = {"embed.enabled": False, "noise.enabled": False, "detector.enabled": False}
 
     bottoms = []
     for i in range(cfg["calibrate.models"]):
-        clean_values = dict(cfg.values)
-        clean_values["run.seed"] = base_seed + i
-        clean_values["embed.enabled"] = False
-        clean_values["noise.enabled"] = False
-        clean = Config(clean_values)
-        train, test = build_data(clean)
-        shards = build_shards(clean, train)
-        res = run_experiment(
-            spec, clean.protocol(), shards, test, base_seed + i
-        )
-        bottoms.append(res.model.bottom)
+        clean = Config({**cfg.values, **clean_off, "run.seed": base_seed + i})
+        bottoms.append(train_run(clean).result.model.bottom)
 
     calib = calibrate_threshold(
         bottoms,
@@ -340,8 +338,5 @@ def execute_calibration(cfg: Config, out_dir: str | None = None) -> dict:
         "tau_5sigma": calib.tau_5sigma,
         "degenerate": calib.degenerate,
     }
-    path = os.path.join(out, "calibration.json")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, os.path.join(out, "calibration.json"))
     return doc

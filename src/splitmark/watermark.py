@@ -215,10 +215,17 @@ def predict_bits(bottom: Segment, key: WatermarkKey, probes: np.ndarray) -> np.n
     return (p >= 0.0).astype(np.float64)
 
 
+def check_probes(n_samples: int) -> None:
+    """verify's bound on its probe count."""
+    if not n_samples >= 1:
+        raise ValueError(f"need n_samples >= 1, got {n_samples}")
+
+
 def check_verify(n_samples: int, tau: float) -> None:
     """verify's bounds on its probe count and threshold."""
-    if not (n_samples >= 1 and 0.0 <= tau <= 1.0):
-        raise ValueError(f"need n_samples >= 1 and tau in [0, 1], got {n_samples}, {tau}")
+    check_probes(n_samples)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"need tau in [0, 1], got {tau}")
 
 
 def verify(

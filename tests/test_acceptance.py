@@ -2,9 +2,10 @@
 
 Run `pytest -v tests/test_acceptance.py` to get exactly one PASS/FAIL line
 per numbered guarantee. Every test trains real models through the public
-entry points (no mocks), so the whole gate takes tens of minutes on one
-core; the per-test docstrings state the individual budgets where one is
-part of the guarantee.
+entry points (no mocks); the desk and preset runs go through the shipped
+recipe, `runner.train_run`. The whole gate takes about a minute and a
+half on 2 vCPUs; the per-test docstrings state the individual budgets
+where one is part of the guarantee.
 
 Shared fixtures hold the five-seed desk runs (64-wide split model, ten IID
 clients, thirty rounds) that several guarantees read from different angles:
@@ -41,10 +42,9 @@ from splitmark.protocol import (
     MessageKind,
     MessageLog,
     ServerWorker,
-    run_experiment,
     train_batch,
 )
-from splitmark.runner import build_data, build_detector, build_shards, run_attacks
+from splitmark.runner import build_detector, run_attacks, train_run
 from splitmark.watermark import (
     EmbedConfig,
     calibrate_threshold,
@@ -78,36 +78,17 @@ class RunBundle:
     elapsed: float
 
 
-def _desk_cfg(seed: int, strength: float | None) -> Config:
-    lines = [f"run.seed = {seed}"]
+def _desk_cfg(seed: int, strength: float | None, detector: bool = False) -> Config:
+    lines = [f"run.seed = {seed}", f"detector.enabled = {detector}"]
     if strength is not None:
         lines += ["embed.enabled = true", f"embed.strength = {strength}"]
     return parse_config("\n".join(lines))
 
 
-def _execute(cfg: Config, detector: DetectorState | None = None) -> RunBundle:
-    seed = cfg["run.seed"]
+def _execute(cfg: Config) -> RunBundle:
+    """Train through the shipped recipe, runner.train_run, timing the call."""
     t0 = time.perf_counter()
-    train, test = build_data(cfg)
-    shards = build_shards(cfg, train)
-    spec = cfg.split_spec()
-    key = None
-    embed = cfg.embed()
-    if embed is not None:
-        key = keygen(
-            RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, cfg["embed.bits"]
-        )
-    res = run_experiment(
-        spec,
-        cfg.protocol(),
-        shards,
-        test,
-        seed,
-        key=key,
-        embed=embed,
-        noise=cfg.noise(),
-        detector=detector,
-    )
+    res, key, shards, test = train_run(cfg)
     return RunBundle(cfg, res, key, shards, test, time.perf_counter() - t0)
 
 
@@ -137,19 +118,7 @@ def clean_runs() -> list[RunBundle]:
 @pytest.fixture(scope="module")
 def heavy_runs() -> list[RunBundle]:
     """Five-seed desk runs at strength 1.0 with the detector live in-run."""
-    out = []
-    for s in SEEDS:
-        cfg = _desk_cfg(s, 1.0)
-        bundle = _execute(cfg, detector=build_detector(cfg, _execute_stub(cfg).shards))
-        out.append(bundle)
-    return out
-
-
-def _execute_stub(cfg: Config) -> RunBundle:
-    """Data/shard bundle without training, for detector calibration."""
-    train, test = build_data(cfg)
-    shards = build_shards(cfg, train)
-    return RunBundle(cfg, None, None, shards, test, 0.0)
+    return [_execute(_desk_cfg(s, 1.0, detector=True)) for s in SEEDS]
 
 
 @pytest.fixture(scope="module")

@@ -406,6 +406,10 @@ def test_adaptive_config_validation():
         replace(ADAPTIVE, gamma=-0.5)
     with pytest.raises(ValueError):
         replace(ADAPTIVE, ft_lr=-1e-4)
+    # the fine-tune schedule is bounded by finetune's check and the optimizer
+    for field, bad in (("ft_steps", -1), ("batch_size", 0), ("momentum", 1.0)):
+        with pytest.raises(ValueError):
+            replace(ADAPTIVE, **{field: bad})
 
 
 def test_adaptive_remove_with_zero_gamma_is_plain_finetune():

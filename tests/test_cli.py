@@ -201,6 +201,26 @@ def test_run_argument_validation(tiny_cfg, tmp_path):
     assert main(["run", "--config", tiny_cfg, *out, *flags]) == EXIT_CONFIG
 
 
+def test_calibration_trains_clean_copies(tiny_cfg, tmp_path, capsys):
+    # Embedding, noise and the detector are forced off in the clean runs, so
+    # turning them on changes no byte of calibration.json. At seed 1 this
+    # split leaves client 0 three samples, too few to build a detector on.
+    split = ["calibrate.models=2", "partition.clients=10", "partition.mode=unbalanced"]
+    extra = ["embed.enabled=true", "noise.enabled=true", "detector.enabled=true"]
+    docs = []
+    for i, items in enumerate((split, split + extra)):
+        out = str(tmp_path / f"cal{i}")
+        flags = [arg for item in items for arg in ("--set", item)]
+        args = ["calibrate", "--config", tiny_cfg, "--out", out, "--seed", "1", *flags]
+        assert main(args) == EXIT_OK
+        with open(os.path.join(out, "calibration.json"), "rb") as fh:
+            docs.append(fh.read())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["n_models"] == 2
+    lines = _json_lines(capsys)
+    assert lines[0] == lines[1] == json.loads(docs[0])
+
+
 def test_divergent_run_exits_numeric(tiny_cfg, tmp_path):
     import numpy as np
 

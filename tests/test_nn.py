@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from splitmark.linalg import NumericalError, RngStream, StreamLabel
+from splitmark.attacks import subspace_penalty
+from splitmark.linalg import NumericalError, RngStream, StreamLabel, orthonormal_columns
 from splitmark.nn import (
     LayerSpec,
     OptimizerConfig,
@@ -19,6 +20,7 @@ from splitmark.nn import (
     init_split_model,
     load_model,
     save_model,
+    sgd_step,
     softmax_xent,
 )
 
@@ -502,3 +504,61 @@ def test_sgd_non_finite_gradient_in_one_replica_updates_no_replica():
     with pytest.raises(NumericalError):
         opt.step([seg], [grads])
     assert np.array_equal(seg.params, snapshot)
+
+
+def _chain_and_batch(seed, dims_per_segment):
+    """Segments whose last layer is relu except the final head's identity,
+    plus a batch of inputs and labels for them."""
+    rng = RngStream(seed, StreamLabel.MODEL_INIT)
+    segments = []
+    for k, dims in enumerate(dims_per_segment):
+        acts = ["relu"] * (len(dims) - 1)
+        if k == len(dims_per_segment) - 1:
+            acts[-1] = "identity"
+        segments.append(_random_segment(rng, dims, acts))
+    n_in, n_classes = dims_per_segment[0][0], dims_per_segment[-1][-1]
+    x = rng.normal(7 * n_in).reshape(7, n_in)
+    return segments, x, rng.integers(0, n_classes, 7)
+
+
+def test_sgd_step_is_bitwise_the_hand_wired_three_segment_step():
+    segments, x, y = _chain_and_batch(31, [(4, 6, 5), (5, 5), (5, 3)])
+    ref = [seg.copy() for seg in segments]
+    opt, ref_opt = SgdOptimizer(0.05, 0.9), SgdOptimizer(0.05, 0.9)
+    for _ in range(3):  # later steps run on momentum the earlier ones left
+        rows = sgd_step(opt, segments, x, y)
+        a, tape_b = forward_segment(ref[0], x)
+        s, tape_m = forward_segment(ref[1], a)
+        logits, tape_h = forward_segment(ref[2], s)
+        _, g_logits = softmax_xent(logits, y)
+        g_s, head_grads = backward_segment(ref[2], tape_h, g_logits)
+        g_a, middle_grads = backward_segment(ref[1], tape_m, g_s)
+        _, bottom_grads = backward_segment(ref[0], tape_b, g_a, need_input_grad=False)
+        ref_opt.step(ref, [bottom_grads, middle_grads, head_grads])
+        assert np.array_equal(rows, g_a)
+        assert all(segments_equal(got, want) for got, want in zip(segments, ref))
+
+
+def test_sgd_step_adds_the_penalty_gradient_at_the_first_output_bitwise():
+    (bottom, head), x, y = _chain_and_batch(32, [(4, 6, 5), (5, 3)])
+    basis = orthonormal_columns(RngStream(33, StreamLabel.ATTACK).normal(10).reshape(5, 2))
+    weights = np.array([1.0, 0.25])
+
+    def penalty(a):
+        return subspace_penalty(a, basis, weights)
+
+    ref = [bottom.copy(), head.copy()]
+    opt, ref_opt = SgdOptimizer(0.05, 0.9), SgdOptimizer(0.05, 0.9)
+    for _ in range(3):
+        rows = sgd_step(opt, [bottom, head], x, y, penalty)
+        a, tape_b = forward_segment(ref[0], x)
+        logits, tape_h = forward_segment(ref[1], a)
+        _, g_logits = softmax_xent(logits, y)
+        g_split, head_grads = backward_segment(ref[1], tape_h, g_logits)
+        _, g_pen = penalty(a)
+        g_split = g_split + g_pen
+        _, bottom_grads = backward_segment(ref[0], tape_b, g_split, need_input_grad=False)
+        ref_opt.step(ref, [bottom_grads, head_grads])
+        assert np.any(g_pen != 0.0)
+        assert np.array_equal(rows, g_split)
+        assert segments_equal(bottom, ref[0]) and segments_equal(head, ref[1])
