@@ -20,7 +20,6 @@ from .linalg import NumericalError, RngStream, StreamLabel
 from .nn import load_model
 from .runner import (
     build_data,
-    build_shards,
     execute_calibration,
     execute_run,
     run_attacks,
@@ -233,8 +232,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             f"data.input_dim = {cfg['data.input_dim']} and data.classes = "
             f"{cfg['data.classes']} of {paths[0]}"
         )
-    train, test = build_data(cfg)
-    shards = build_shards(cfg, train)
+    shards, test = build_data(cfg)
     results = run_attacks(cfg, model, {}, key, shards, test)
     path = None
     if args.out:

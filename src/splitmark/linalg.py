@@ -252,12 +252,15 @@ def orthonormal_columns(a) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two flattened arrays; 0.0 if either is zero."""
-    uf = np.asarray(u, dtype=np.float64).ravel()
-    vf = np.asarray(v, dtype=np.float64).ravel()
-    nu = float(np.sqrt(uf @ uf))
-    nv = float(np.sqrt(vf @ vf))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(uf @ vf) / (nu * nv)
+def cosine(u: np.ndarray, v: np.ndarray) -> list[float]:
+    """Cosine of the angle between u[i] and v[i], each flattened, for every
+    i of two (G, ...) stacks, as G floats; 0.0 where either is zero. Each
+    dot product is one (1, n) @ (n, 1) product of a stack, equal bit for
+    bit to u[i].ravel() @ v[i].ravel()."""
+    a = np.asarray(u, dtype=np.float64).reshape(len(u), 1, -1)
+    b = np.asarray(v, dtype=np.float64).reshape(len(v), 1, -1)
+    at, bt = a.transpose(0, 2, 1), b.transpose(0, 2, 1)
+    dots = np.matmul(a, bt).ravel().tolist()
+    nu = np.sqrt(np.matmul(a, at)).ravel().tolist()
+    nv = np.sqrt(np.matmul(b, bt)).ravel().tolist()
+    return [d / (x * y) if x != 0.0 and y != 0.0 else 0.0 for d, x, y in zip(dots, nu, nv)]

@@ -17,6 +17,7 @@ stacked call equals, bit for bit, the unstacked call on replica i.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -356,6 +357,73 @@ class OptimizerConfig:
         return SgdOptimizer(self.lr, self.momentum)
 
 
+# Hex text of float64 values, as float.hex writes them, built from the
+# IEEE bit fields with no per-value Python call. Each value gets a slot of
+# _SLOT bytes: [0] the sign, [1:5] "0x1." or "0x0.", [5:18] the 13
+# mantissa digits, [18:24] "p%+d", [24] the separator. Short fields are
+# padded with zero bytes, which are dropped in one pass at the end.
+_SLOT = 25
+
+
+def _padded(texts, width: int) -> np.ndarray:
+    """texts as rows of width bytes, zero-padded on the right."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+
+
+# Slot bytes 0:8 and 17:25 as 8-byte words, indexed by a value's top 12
+# bits (its sign, then its biased exponent e). _HEAD holds the sign, the
+# lead and 3 spare bytes; _TAIL a spare byte, the exponent and a space.
+# Subnormals (e = 0) read "0x0." and p-1022, like the smallest normals;
+# e = 2047 (inf, nan) is overwritten by a special form.
+_HEAD = _padded(
+    [(b"-" if top >> 11 else b"\0") + (b"0x1." if top & 0x7FF else b"0x0.")
+     for top in range(4096)],
+    8,
+).view(np.uint64)[:, 0]
+_TAIL = _padded(
+    [b"\0" + (b"p%+d" % (max(top & 0x7FF, 1) - 1023)).ljust(6, b"\0") + b" "
+     for top in range(4096)],
+    8,
+).view(np.uint64)[:, 0]
+# The special forms, for slot bytes 1:24 (after the sign) or 0:24 (nan
+# has no sign).
+(_ZERO, _INF), (_NAN,) = _padded([b"0x0.0p+0", b"inf"], 23), _padded([b"nan"], 24)
+
+
+def _word(a: np.ndarray, start: int) -> np.ndarray:
+    """Bytes start:start + 8 of a's last axis, as one native uint64 each."""
+    return a[..., start : start + 8].view(np.uint64)[..., 0]
+
+
+def hex_lines(tag: str, rows: np.ndarray) -> bytes:
+    """The ASCII lines "tag v0 v1 ...\\n" of a (R, C) float64 array, one
+    per row, each value written as float(v).hex() writes it."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    n_rows, n_cols = rows.shape
+    bits = rows.view(np.uint64)
+    top = bits >> np.uint64(52)
+    # 16 hex digits per value, big-endian: 3 for the top 12 bits, then the
+    # 13 of the mantissa.
+    digits = np.frombuffer(binascii.hexlify(bits.astype(">u8")), np.uint8)
+    digits = digits.reshape(n_rows, n_cols, 16)
+    lines = np.empty((n_rows, 2 + n_cols * _SLOT), np.uint8)
+    lines[:, 0] = ord(tag)
+    lines[:, 1] = ord(" ")
+    slots = lines[:, 2:].reshape(n_rows, n_cols, _SLOT)
+    _word(slots, 0)[...] = _HEAD[top]
+    _word(slots, 17)[...] = _TAIL[top]
+    # The mantissa digits as two overlapping words (5:13 and 10:18), written
+    # last so that they cover the spare bytes 5:8 and 17.
+    _word(slots, 5)[...] = _word(digits, 3)
+    _word(slots, 10)[...] = _word(digits, 8)
+    slots[:, -1, 24] = ord("\n")
+    slots[(bits << np.uint64(1)) == 0, 1:24] = _ZERO
+    special = (top & np.uint64(0x7FF)) == 0x7FF
+    slots[special, 1:24] = _INF
+    slots[special & ((bits << np.uint64(12)) != 0), :24] = _NAN
+    return lines[lines != 0].tobytes()
+
+
 # Checkpoint format: a line-oriented text file. The header lists each
 # segment's layer specs; the body carries parameters in layer order as
 # float hex, one weight row or bias vector per line. Hex round-trips
@@ -363,28 +431,26 @@ class OptimizerConfig:
 
 _MAGIC = "splitmodel v1"
 _SEGMENTS = ("bottom", "middle", "head")
-
-
-def _fmt_vec(values: np.ndarray) -> str:
-    return " ".join(float(v).hex() for v in values)
+# Weight rows formatted per write: the formatter's buffers stay well under
+# a megabyte at width 256 instead of holding the whole file's text.
+_ROW_BLOCK = 32
 
 
 def save_model(model: SplitModel, path: str) -> None:
-    lines = [_MAGIC]
+    header = [_MAGIC]
     for name in _SEGMENTS:
         seg: Segment = getattr(model, name)
-        lines.append(f"segment {name} {len(seg.layers)}")
+        header.append(f"segment {name} {len(seg.layers)}")
         for layer in seg.layers:
             s = layer.spec
-            lines.append(f"layer {s.in_dim} {s.out_dim} {s.activation}")
-    for name in _SEGMENTS:
-        seg = getattr(model, name)
-        for layer in seg.layers:
-            for row in layer.w:
-                lines.append("w " + _fmt_vec(row))
-            lines.append("b " + _fmt_vec(layer.b))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            header.append(f"layer {s.in_dim} {s.out_dim} {s.activation}")
+    with open(path, "wb") as fh:
+        fh.write("\n".join(header).encode("ascii") + b"\n")
+        for name in _SEGMENTS:
+            for layer in getattr(model, name).layers:
+                for start in range(0, layer.spec.in_dim, _ROW_BLOCK):
+                    fh.write(hex_lines("w", layer.w[start : start + _ROW_BLOCK]))
+                fh.write(hex_lines("b", layer.b[None]))
 
 
 def load_model(path: str) -> SplitModel:

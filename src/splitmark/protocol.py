@@ -301,7 +301,7 @@ class ServerWorker:
                 wm_loss(p, self.key).tolist(),
                 wm_norms,
                 _norms(g_clipped),
-                [cosine(gm, gw) for gm, gw in zip(g_main, g_wm)],
+                cosine(g_main, g_wm),
             )
         )
         g_final = g_main

@@ -41,7 +41,6 @@ from .watermark import (
 __all__ = [
     "METRIC_COLUMNS",
     "build_data",
-    "build_shards",
     "build_detector",
     "TrainedRun",
     "train_run",
@@ -54,8 +53,11 @@ __all__ = [
 METRIC_COLUMNS = ("round", *(f.name for f in fields(RoundMetrics)[1:]))
 
 
-def build_data(cfg: Config) -> tuple[Dataset, Dataset]:
-    """Synthesize the run's train/test datasets from the config."""
+def build_data(cfg: Config) -> tuple[list[Dataset], Dataset]:
+    """Synthesize the run's data and split its train set per the
+    partition.* keys; returns the client shards and the test set. A spec
+    that leaves some client empty on every draw is a config problem and
+    raises ConfigError."""
     rng = RngStream(cfg["run.seed"], StreamLabel.DATA, (0,))
     full = make_blobs(
         rng,
@@ -64,17 +66,12 @@ def build_data(cfg: Config) -> tuple[Dataset, Dataset]:
         cfg["data.input_dim"],
         cfg["data.spread"],
     )
-    return split_per_class(full, cfg["data.test_per_class"])
-
-
-def build_shards(cfg: Config, train: Dataset) -> list[Dataset]:
-    """Split train per the partition.* keys. A spec that leaves some client
-    empty on every draw is a config problem and raises ConfigError."""
+    train, test = split_per_class(full, cfg["data.test_per_class"])
     try:
         idx = partition(train, cfg.partition_spec())
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return [train.subset(i) for i in idx]
+    return [train.subset(i) for i in idx], test
 
 
 def build_detector(cfg: Config, shards: list[Dataset]) -> DetectorState:
@@ -106,8 +103,7 @@ def train_run(cfg: Config) -> TrainedRun:
     (when embedding), the detector (when detector.enabled) and noise, in
     that order, then one run_experiment call."""
     seed = cfg["run.seed"]
-    train, test = build_data(cfg)
-    shards = build_shards(cfg, train)
+    shards, test = build_data(cfg)
     spec, embed = cfg.split_spec(), cfg.embed()
     key = None
     if embed is not None:
@@ -190,6 +186,19 @@ def run_attacks(
 
     pre_wsr = wsr_of(model.bottom)
     out: list[dict] = []
+
+    def record(name: str, params: dict, bottom, post_acc: float) -> None:
+        out.append(
+            {
+                "name": name,
+                **params,
+                "pre_acc": pre_acc,
+                "post_acc": post_acc,
+                "pre_wsr": pre_wsr,
+                "post_wsr": wsr_of(bottom),
+            }
+        )
+
     # kind -> (attack on the bottom, record field, config key of its values)
     sweeps = {
         "prune": (prune, "ratio", "attack.prune_ratios"),
@@ -208,17 +217,8 @@ def run_attacks(
                 batch_size=cfg["attack.batch_size"],
                 momentum=cfg["attack.momentum"],
             )
-            out.append(
-                {
-                    "name": "finetune",
-                    "steps": cfg["attack.finetune_steps"],
-                    "lr": cfg["attack.finetune_lr"],
-                    "pre_acc": pre_acc,
-                    "post_acc": _surrogate_acc(nb, head, test),
-                    "pre_wsr": pre_wsr,
-                    "post_wsr": wsr_of(nb),
-                }
-            )
+            params = {"steps": cfg["attack.finetune_steps"], "lr": cfg["attack.finetune_lr"]}
+            record(kind, params, nb, _surrogate_acc(nb, head, test))
         elif kind == "adaptive":
             atk = cfg.adaptive_attack()
             early = np.vstack([grad_rounds[t] for t in range(*atk.rounds_early)])
@@ -229,38 +229,22 @@ def run_attacks(
             est = estimate_subspace(early, late, atk.n_main, atk.k_prime)
             rng = RngStream(seed, StreamLabel.ATTACK, (2,))
             nb, head = adaptive_remove(model.bottom, shard, est, atk, rng)
-            out.append(
-                {
-                    "name": "adaptive",
-                    "n_main": atk.n_main,
-                    "k_prime": atk.k_prime,
-                    "gamma": atk.gamma,
-                    "ft_steps": atk.ft_steps,
-                    "ft_lr": atk.ft_lr,
-                    "early_rows": int(len(early)),
-                    "pre_acc": pre_acc,
-                    "post_acc": _surrogate_acc(nb, head, test),
-                    "pre_wsr": pre_wsr,
-                    "post_wsr": wsr_of(nb),
-                }
-            )
+            params = {
+                "n_main": atk.n_main,
+                "k_prime": atk.k_prime,
+                "gamma": atk.gamma,
+                "ft_steps": atk.ft_steps,
+                "ft_lr": atk.ft_lr,
+                "early_rows": int(len(early)),
+            }
+            record(kind, params, nb, _surrogate_acc(nb, head, test))
         else:
             attack, field, values_key = sweeps[kind]
             for value in cfg[values_key]:
                 nb = attack(model.bottom, value)
                 attacked = SplitModel(nb, model.middle, model.head)
-                out.append(
-                    {
-                        "name": kind,
-                        field: value,
-                        "pre_acc": pre_acc,
-                        "post_acc": accuracy(
-                            forward_full(attacked, test.inputs), test.labels
-                        ),
-                        "pre_wsr": pre_wsr,
-                        "post_wsr": wsr_of(nb),
-                    }
-                )
+                post_acc = accuracy(forward_full(attacked, test.inputs), test.labels)
+                record(kind, {field: value}, nb, post_acc)
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, RngStream, as_matrix, gaussian_matrix
-from .nn import Segment, forward_segment
+from .nn import Segment, forward_segment, hex_lines
 
 __all__ = [
     "CALIBRATION_KEYS",
@@ -320,14 +320,14 @@ _KEY_MAGIC = "wmkey v1"
 
 
 def save_key(key: WatermarkKey, path: str) -> None:
-    lines = [_KEY_MAGIC, f"d {key.d}", f"k {key.k}", f"seed {key.seed}"]
-    for row in key.m:
-        lines.append("m " + " ".join(float(v).hex() for v in row))
-    lines.append("bits " + "".join(str(int(b)) for b in key.bits))
-    body = "\n".join(lines)
-    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(body + f"\nchecksum {digest}\n")
+    body = (
+        f"{_KEY_MAGIC}\nd {key.d}\nk {key.k}\nseed {key.seed}\n".encode("ascii")
+        + hex_lines("m", key.m)
+        + ("bits " + "".join(str(int(b)) for b in key.bits)).encode("ascii")
+    )
+    digest = hashlib.sha256(body).hexdigest()
+    with open(path, "wb") as fh:
+        fh.write(body + f"\nchecksum {digest}\n".encode("ascii"))
 
 
 def load_key(path: str) -> WatermarkKey:

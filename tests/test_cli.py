@@ -375,6 +375,11 @@ def test_set_override_controls_the_run(tiny_cfg, tmp_path, capsys):
     assert len(rows) == 2  # header + one round
 
 
+# attacks.json of the replay below, recorded when each attack branch wrote its
+# own record fields.
+ATTACKS_DIGEST = "eedad56a378b11b55c9f1d9b0c4bf00291a369347122a3090af91dcc10b4dd9e"
+
+
 def test_attack_command_replays_saved_checkpoint(tiny_wm_cfg, tmp_path, capsys):
     out = str(tmp_path / "wm")
     main(["run", "--config", tiny_wm_cfg, "--out", out])
@@ -390,6 +395,8 @@ def test_attack_command_replays_saved_checkpoint(tiny_wm_cfg, tmp_path, capsys):
             "--key",
             os.path.join(out, "key.txt"),
             "--kind",
+            "finetune",
+            "--kind",
             "prune",
             "--kind",
             "quantize",
@@ -400,9 +407,11 @@ def test_attack_command_replays_saved_checkpoint(tiny_wm_cfg, tmp_path, capsys):
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     names = {entry["name"] for entry in doc}
-    assert names == {"prune", "quantize"}
+    assert names == {"finetune", "prune", "quantize"}
     assert all("post_wsr" in entry for entry in doc)
-    assert os.path.isfile(os.path.join(atk_out, "attacks.json"))
+    # Every record field of all three attack branches, as first written.
+    with open(os.path.join(atk_out, "attacks.json"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == ATTACKS_DIGEST
 
 
 def test_attack_command_rejects_adaptive_and_empty(tiny_wm_cfg, tmp_path):

@@ -203,8 +203,26 @@ def test_orthonormal_columns_drops_dependent():
 
 
 def test_cosine_zero_safe():
-    assert cosine(np.zeros(3), np.ones(3)) == 0.0
-    assert np.isclose(cosine(np.ones(3), np.ones(3)), 1.0)
+    assert cosine(np.zeros((1, 3)), np.ones((1, 3))) == [0.0]
+    assert np.isclose(cosine(np.ones((1, 3)), np.ones((1, 3)))[0], 1.0)
+
+
+def test_stacked_cosine_is_bitwise_the_per_pair_formula():
+    # One call per stack gives, for each replica, what one scalar cosine of
+    # the flattened pair gives, zero replicas included.
+    def scalar(u, v):
+        uf, vf = u.ravel(), v.ravel()
+        nu, nv = float(np.sqrt(uf @ uf)), float(np.sqrt(vf @ vf))
+        return 0.0 if nu == 0.0 or nv == 0.0 else float(uf @ vf) / (nu * nv)
+
+    rng = RngStream(5, StreamLabel.VERIFICATION)
+    for g, batch, d in [(1, 1, 1), (1, 64, 256), (10, 64, 64), (3, 7, 33)]:
+        u = rng.normal(g * batch * d).reshape(g, batch, d) * 1e-3
+        v = rng.normal(g * batch * d).reshape(g, batch, d) * 1e4
+        u[-1] *= 0.0 if g > 1 else 1.0
+        got = cosine(u, v)
+        assert all(type(c) is float for c in got)
+        assert got == [scalar(a, b) for a, b in zip(u, v)]
 
 
 def test_spectrum_is_frozen():

@@ -1,5 +1,8 @@
 """Manual forward/backward passes, the loss, SGD, and checkpointing."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from splitmark.nn import (
     backward_segment,
     forward_full,
     forward_segment,
+    hex_lines,
     init_segment,
     init_split_model,
     load_model,
@@ -245,6 +249,65 @@ def test_load_model_rejects_cut_and_malformed_files(tmp_path):
     bad.write_text("".join(lines) + "b 0x0p+0\n")
     with pytest.raises(ValueError, match=f"line {len(lines) + 1} after the last segment"):
         load_model(str(bad))
+
+
+# The width-256 shape of the wide-noise workload: 134 916 parameters.
+_WIDE = SplitSpec(
+    bottom=(LayerSpec(8, 256),),
+    middle=(LayerSpec(256, 256), LayerSpec(256, 256)),
+    head=(LayerSpec(256, 4, "identity"),),
+)
+
+
+def test_wide_checkpoint_bytes_are_pinned(tmp_path):
+    # Recorded from the per-value float.hex writer this format began with.
+    path = tmp_path / "model.ckpt"
+    save_model(init_split_model(_WIDE, RngStream(0, StreamLabel.MODEL_INIT)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "72e89eaa271e69f2fb12444d1fa0176a2caedab5e6be43f33d684c2bb78c56fe"
+    )
+
+
+def test_hex_lines_is_float_hex_on_every_kind_of_bit_pattern():
+    edges = [
+        0x0000000000000000,  # +0
+        0x8000000000000000,  # -0
+        0x0000000000000001,  # smallest subnormal
+        0x800FFFFFFFFFFFFF,  # largest subnormal, negative
+        0x0010000000000000,  # smallest normal
+        0x7FEFFFFFFFFFFFFF,  # largest normal
+        0xFFEFFFFFFFFFFFFF,
+        0x3FF0000000000000,  # 1.0
+        0x7FF0000000000000,  # inf
+        0xFFF0000000000000,  # -inf
+        0x7FF8000000000000,  # nan
+        0xFFF0000000000001,  # nan with the sign bit and a low payload
+    ]
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, size=(60, 300), dtype=np.uint64)
+    # Biased exponents 0-2 and 2045-2047 in two rows each, the random sign
+    # and mantissa kept: subnormals, zeros and the specials in bulk.
+    low, high = rng.integers(0, 3, (2, 300)), rng.integers(2045, 2048, (2, 300))
+    fields = np.vstack([low, high]).astype(np.uint64) << np.uint64(52)
+    bits[:4] = (bits[:4] & np.uint64(0x800FFFFFFFFFFFFF)) | fields
+    bits[4, : len(edges)] = edges
+    values = bits.view(np.float64)
+    expected = "".join("m " + " ".join(float(v).hex() for v in row) + "\n" for row in values)
+    assert hex_lines("m", values) == expected.encode("ascii")
+    assert hex_lines("b", values[4, :1][None]) == b"b 0x0.0p+0\n"
+
+
+def test_save_model_streams_instead_of_holding_the_whole_text(tmp_path):
+    # Joining the whole wide checkpoint as one string peaked at 8.7 MB;
+    # streaming it in row blocks peaks at 0.8 MB.
+    model = init_split_model(_WIDE, RngStream(0, StreamLabel.MODEL_INIT))
+    tracemalloc.start()
+    try:
+        save_model(model, str(tmp_path / "model.ckpt"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_split_spec_dimension_chain():

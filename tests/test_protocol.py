@@ -40,7 +40,7 @@ from splitmark.watermark import (
     wm_loss,
 )
 from splitmark.attacks import NoiseSpec
-from splitmark.runner import build_data, build_shards
+from splitmark.runner import build_data
 
 from helpers import segment_of, segments_equal
 
@@ -173,7 +173,7 @@ def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch)
         wm_loss(p, key)[0],
         _norm(g_wm),
         _norm(g_clipped),
-        cosine(g_main, g_wm),
+        cosine(g_main[None], g_wm[None])[0],
     )
     assert all(type(v) is float for v in stats[:5])
     assert len(stats) == 5  # no loss or accuracy: no labels here
@@ -528,8 +528,7 @@ model.split = 1
 @pytest.mark.parametrize("noise", [None, NoiseSpec(snr=1.0)], ids=["quiet", "noisy"])
 def test_lockstep_groups_match_clients_trained_one_by_one(noise):
     cfg = parse_config(_SKEWED)
-    train, test = build_data(cfg)
-    shards = build_shards(cfg, train)
+    shards, test = build_data(cfg)
     assert [len(s) for s in shards] == [3, 3, 3, 3, 39, 3, 3, 3, 27, 3]
     spec, pcfg, seed = cfg.split_spec(), cfg.protocol(), 1
     key = keygen(RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, 4)

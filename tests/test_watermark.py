@@ -1,5 +1,6 @@
 """Key generation, the watermark loss/gradient, clipping, verification."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -301,6 +302,16 @@ def test_key_file_roundtrip(tmp_path):
     assert np.array_equal(clone.m, key.m)
     assert np.array_equal(clone.bits, key.bits)
     assert clone.seed == key.seed
+
+
+def test_key_file_bytes_are_pinned(tmp_path):
+    # A 256 x 16 key, recorded from the per-value float.hex writer this
+    # format began with.
+    path = tmp_path / "key.txt"
+    save_key(_key(0, d=256, k=16), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "089094b19382bbb3ccc7d691d4c0e9f4db6c85fcf676c6005603fe9ba7c2088e"
+    )
 
 
 def test_key_file_detects_corruption(tmp_path):
