@@ -2,10 +2,12 @@
 
 Subcommands mirror the experiment lifecycle: `run` trains and writes
 artifacts, `verify` checks a saved checkpoint against a key file,
-`calibrate` fits the null threshold from clean models, `attack` replays
-post-hoc attacks on a checkpoint, and `sweep` executes every config in a
-preset or directory. Exit codes: 0 success, 2 configuration or argument
-problems, 3 numerical failure (divergence) during a run.
+`calibrate` fits the null threshold from clean models, and `attack`
+replays post-hoc attacks on a checkpoint. Configs are named one way:
+`--config PATH` takes a file or a directory of .cfg files, and `--preset
+NAME[/member]` resolves to the directory or file of a built-in preset.
+Exit codes: 0 success, 2 configuration, argument or file problems, 3
+numerical failure (divergence) during a run.
 """
 
 from __future__ import annotations
@@ -15,16 +17,10 @@ import json
 import os
 import sys
 
-from .config import ATTACK_KINDS, Config, ConfigError, load_config, parse_override
+from .config import ATTACK_KINDS, SCHEMA, Config, ConfigError, load_config, parse_override
 from .linalg import NumericalError, RngStream, StreamLabel
 from .nn import load_model
-from .runner import (
-    build_data,
-    execute_calibration,
-    execute_run,
-    run_attacks,
-    write_json,
-)
+from .runner import build_data, execute_calibration, execute_run, run_attacks, write_json
 from .watermark import check_verify, load_key, verify
 
 EXIT_OK = 0
@@ -44,46 +40,51 @@ def preset_names() -> list[str]:
     )
 
 
-def _cfg_files(root: str) -> list[str]:
-    return sorted(
-        os.path.join(root, fn) for fn in os.listdir(root) if fn.endswith(".cfg")
-    )
+def _stem(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
 
 
-def preset_configs(name: str) -> list[str]:
-    """Return config paths for a preset; `name` may be a bare preset or
-    `preset/member` to select one config out of it."""
-    member = None
-    if "/" in name:
-        name, member = name.split("/", 1)
-    root = os.path.join(_PRESET_DIR, name)
-    if not os.path.isdir(root):
+def preset_path(name: str) -> str:
+    """The directory of preset NAME, or the file of one member with
+    NAME/member. Both parts are matched against what is installed before
+    any path is joined, so nothing outside the presets can be named."""
+    group, sep, member = name.partition("/")
+    if group not in preset_names():
         known = ", ".join(preset_names()) or "none installed"
-        raise ConfigError(f"unknown preset {name!r} (available: {known})")
-    paths = _cfg_files(root)
-    if member is not None:
-        want = member if member.endswith(".cfg") else member + ".cfg"
-        hits = [p for p in paths if os.path.basename(p) == want]
-        if not hits:
-            members = ", ".join(os.path.splitext(os.path.basename(p))[0] for p in paths)
-            raise ConfigError(
-                f"preset {name!r} has no member {member!r} (members: {members})"
-            )
-        return hits
+        raise ConfigError(f"unknown preset {group!r} (available: {known})")
+    root = os.path.join(_PRESET_DIR, group)
+    if not sep:
+        return root
+    members = [_stem(p) for p in config_paths(root)]
+    stem = member.removesuffix(".cfg")
+    if stem not in members:
+        raise ConfigError(
+            f"preset {group!r} has no member {member!r} (members: {', '.join(members)})"
+        )
+    return os.path.join(root, stem + ".cfg")
+
+
+def config_paths(path: str) -> list[str]:
+    """A config file, or every *.cfg file of a directory in name order."""
+    if os.path.isfile(path):
+        return [path]
+    if not os.path.isdir(path):
+        raise ConfigError(f"config file not found: {path}")
+    paths = sorted(os.path.join(path, fn) for fn in os.listdir(path) if fn.endswith(".cfg"))
     if not paths:
-        raise ConfigError(f"preset {name!r} contains no config files")
+        raise ConfigError(f"no .cfg files in {path}")
     return paths
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
     overrides: dict = {}
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
         key = key.strip()
         overrides[key] = parse_override(key, raw.strip())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["run.seed"] = args.seed
     return overrides
 
@@ -91,11 +92,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 def _config_sources(args: argparse.Namespace) -> list[str]:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
-    if args.config:
-        if not os.path.isfile(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        return [args.config]
-    return preset_configs(args.preset)
+    return config_paths(args.config or preset_path(args.preset))
 
 
 def _load_one(path: str, overrides: dict) -> Config:
@@ -105,49 +102,40 @@ def _load_one(path: str, overrides: dict) -> Config:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _run_paths(
-    paths: list[str], out: str | None, overrides: dict, subdirs: bool = False
-) -> int:
-    """Run each config; multiple configs land in per-name subdirectories."""
-    subdirs = subdirs or len(paths) > 1
-    for path in paths:
-        cfg = _load_one(path, overrides)
-        if out is None:
-            dest = cfg["run.out"]
-        elif subdirs:
-            dest = os.path.join(out, os.path.splitext(os.path.basename(path))[0])
-        else:
-            dest = out
+def _single_config(args: argparse.Namespace, overrides: dict) -> tuple[str, Config]:
+    paths = _config_sources(args)
+    if len(paths) != 1:
+        raise ConfigError(f"{args.command} needs a single config (or preset member)")
+    return paths[0], _load_one(paths[0], overrides)
+
+
+def _run_paths(paths: list[str], out: str | None, overrides: dict) -> int:
+    """Run each config: into `out`, into a subdirectory of `out` named
+    after the file when there are several, or into its own run.out. Every
+    config is loaded, and every destination checked distinct, before the
+    first one trains."""
+    cfgs = [_load_one(path, overrides) for path in paths]
+    if out is None:
+        dests = [cfg["run.out"] for cfg in cfgs]
+    elif len(paths) > 1:
+        dests = [os.path.join(out, _stem(p)) for p in paths]
+    else:
+        dests = [out]
+    owners: dict = {}
+    for path, dest in zip(paths, dests):
+        other = owners.setdefault(os.path.abspath(dest), path)
+        if other != path:
+            raise ConfigError(f"{other} and {path} would both write to {dest}")
+    for path, cfg, dest in zip(paths, cfgs, dests):
         results = execute_run(cfg, dest)
-        line = {
-            "config": path,
-            "out": dest,
-            "final_test_acc": results.get("final_test_acc"),
-        }
-        for field in ("wsr", "wsr_passed"):
-            if field in results:
-                line[field] = results[field]
+        line = {"config": path, "out": dest, "final_test_acc": results["final_test_acc"]}
+        line.update((f, results[f]) for f in ("wsr", "wsr_passed") if f in results)
         print(json.dumps(line, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     return _run_paths(_config_sources(args), args.out, _collect_overrides(args))
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if bool(args.config_dir) == bool(args.preset):
-        raise ConfigError("exactly one of --config-dir or --preset is required")
-    if args.config_dir:
-        if not os.path.isdir(args.config_dir):
-            raise ConfigError(f"not a directory: {args.config_dir}")
-        paths = _cfg_files(args.config_dir)
-        if not paths:
-            raise ConfigError(f"no .cfg files in {args.config_dir}")
-    else:
-        paths = preset_configs(args.preset)
-    out = args.out or "runs"
-    return _run_paths(paths, out, _collect_overrides(args), subdirs=True)
 
 
 def _load_artifact(load, path: str):
@@ -195,26 +183,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    paths = _config_sources(args)
-    if len(paths) != 1:
-        raise ConfigError(
-            "calibrate needs a single config; select a preset member like "
-            f"--preset {args.preset}/<member>"
-        )
-    cfg = _load_one(paths[0], _collect_overrides(args))
+    _, cfg = _single_config(args, _collect_overrides(args))
     doc = execute_calibration(cfg, args.out)
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    paths = _config_sources(args)
-    if len(paths) != 1:
-        raise ConfigError("attack needs a single config (or preset member)")
     overrides = _collect_overrides(args)
     if args.kind:
         overrides["attack.kinds"] = tuple(args.kind)
-    cfg = _load_one(paths[0], overrides)
+    cfg_path, cfg = _single_config(args, overrides)
     kinds = cfg["attack.kinds"]
     if not kinds:
         raise ConfigError("no attacks selected; set attack.kinds or pass --kind")
@@ -230,7 +209,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"{args.model}: input width and classes {dims} do not match "
             f"data.input_dim = {cfg['data.input_dim']} and data.classes = "
-            f"{cfg['data.classes']} of {paths[0]}"
+            f"{cfg['data.classes']} of {cfg_path}"
         )
     shards, test = build_data(cfg)
     results = run_attacks(cfg, model, {}, key, shards, test)
@@ -249,15 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p, with_seed=True):
-        p.add_argument("--config", help="path to a key=value config file")
+    def add_config_flags(p):
+        p.add_argument(
+            "--config", help="a key=value config file, or a directory of .cfg files"
+        )
         p.add_argument(
             "--preset",
-            help="named built-in config set (NAME or NAME/member); see --list-presets",
+            help="built-in config set, NAME or NAME/member (see `splitmark presets`)",
         )
         p.add_argument("--out", help="output directory (overrides run.out)")
-        if with_seed:
-            p.add_argument("--seed", type=int, help="override run.seed")
+        p.add_argument("--seed", type=int, help="override run.seed")
         p.add_argument(
             "--set",
             action="append",
@@ -269,19 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run every config in a preset or directory")
-    p_sweep.add_argument("--config-dir", help="directory of .cfg files")
-    p_sweep.add_argument("--preset", help="named built-in config set")
-    p_sweep.add_argument("--out", help="parent output directory (default: runs)")
-    p_sweep.add_argument("--seed", type=int, help="override run.seed for every config")
-    p_sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_sweep.set_defaults(func=cmd_sweep)
-
     p_verify = sub.add_parser("verify", help="check a checkpoint against a key file")
     p_verify.add_argument("--model", required=True, help="model checkpoint path")
     p_verify.add_argument("--key", required=True, help="key file path")
-    p_verify.add_argument("--probes", type=int, default=256, help="probe batch size")
-    p_verify.add_argument("--tau", type=float, default=0.7, help="decision threshold")
+    p_verify.add_argument(
+        "--probes", type=int, default=SCHEMA["verify.probes"][1], help="probe batch size"
+    )
+    p_verify.add_argument(
+        "--tau", type=float, default=SCHEMA["verify.tau"][1], help="decision threshold"
+    )
     p_verify.add_argument("--seed", type=int, default=0, help="probe stream seed")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -312,10 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -89,15 +89,6 @@ class RngStream:
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
         return z[: int(n)]
 
-    def integers(self, lo: int, hi: int, n: int | None = None):
-        """Integers in [lo, hi). Scalar when n is None."""
-        if hi <= lo:
-            raise ValueError(f"empty integer range [{lo}, {hi})")
-        span = hi - lo
-        if n is None:
-            return lo + int(self._gen.random() * span)
-        return lo + (self._gen.random(int(n)) * span).astype(np.int64)
-
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n).
 

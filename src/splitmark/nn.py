@@ -424,6 +424,28 @@ def hex_lines(tag: str, rows: np.ndarray) -> bytes:
     return lines[lines != 0].tobytes()
 
 
+def hex_rows(lines: list[str], pos: int, tag: str, n_rows: int, n_cols: int) -> np.ndarray:
+    """The (n_rows, n_cols) float64 block of the lines "tag v0 v1 ..." at
+    lines[pos:pos + n_rows], the inverse of hex_lines for one block. A
+    block that ends early, a line with another tag or width, or a
+    non-finite value raises ValueError naming the line (lines[0] is line 1)."""
+    block = lines[pos : pos + n_rows]
+    values: list[str] = []
+    for line_no, line in enumerate(block, pos + 1):
+        row = line.split()
+        if row[:1] != [tag] or len(row) != n_cols + 1:
+            raise ValueError(f"expected a {tag} row of {n_cols} values at line {line_no}")
+        values += row[1:]
+    if len(block) < n_rows:
+        raise ValueError(f"file ends early, before line {pos + len(block) + 1}")
+    out = np.fromiter(map(float.fromhex, values), np.float64, len(values))
+    out = out.reshape(n_rows, n_cols)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite value at line {pos + 1 + int(finite.argmin())}")
+    return out
+
+
 # Checkpoint format: a line-oriented text file. The header lists each
 # segment's layer specs; the body carries parameters in layer order as
 # float hex, one weight row or bias vector per line. Hex round-trips
@@ -486,19 +508,12 @@ def load_model(path: str) -> SplitModel:
     # rows then one b row, each out_dim values wide.
     segments = []
     for specs in seg_specs:
-        rows = []
+        parts = []
         for spec in specs:
-            for tag in "w" * spec.in_dim + "b":
-                row = fields(pos)
-                if row[:1] != [tag] or len(row) != spec.out_dim + 1:
-                    raise ValueError(
-                        f"expected a {tag} row of {spec.out_dim} values at line {pos + 1}"
-                    )
-                rows.append(np.array([float.fromhex(t) for t in row[1:]]))
-                if not np.isfinite(rows[-1]).all():
-                    raise ValueError(f"non-finite value at line {pos + 1}")
-                pos += 1
-        segments.append(Segment(specs, np.concatenate(rows)))
+            for tag, n_rows in (("w", spec.in_dim), ("b", 1)):
+                parts.append(hex_rows(lines, pos, tag, n_rows, spec.out_dim).ravel())
+                pos += n_rows
+        segments.append(Segment(specs, np.concatenate(parts)))
     if pos < len(lines):
         raise ValueError(f"unexpected line {pos + 1} after the last segment")
     return SplitModel(*segments)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, RngStream, as_matrix, gaussian_matrix
-from .nn import Segment, forward_segment, hex_lines
+from .nn import Segment, forward_segment, hex_lines, hex_rows
 
 __all__ = [
     "CALIBRATION_KEYS",
@@ -347,17 +347,9 @@ def load_key(path: str) -> WatermarkKey:
     if missing:
         raise ValueError(f"key file header lacks {', '.join(missing)}")
     d, k, seed = int(fields["d"]), int(fields["k"]), int(fields["seed"])
-    rows = []
-    for ln in lines[4 : 4 + d]:
-        tag, _, payload = ln.partition(" ")
-        if tag != "m":
-            raise ValueError("malformed key matrix row")
-        rows.append([float.fromhex(tok) for tok in payload.split()])
+    m = hex_rows(lines[:-1], 4, "m", d, k)
     bits_line = lines[4 + d]
     if not bits_line.startswith("bits "):
         raise ValueError("malformed bits line")
     bits = np.array([float(ch) for ch in bits_line.split(" ", 1)[1]])
-    m = np.array(rows, dtype=np.float64)
-    if m.shape != (d, k):
-        raise ValueError(f"key matrix shape {m.shape} does not match header ({d}, {k})")
     return WatermarkKey(m, bits, seed=seed)

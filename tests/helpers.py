@@ -29,3 +29,9 @@ def segment_of(*layers) -> Segment:
         assert np.shape(w) == (spec.in_dim, spec.out_dim) and np.shape(b) == (spec.out_dim,)
     params = np.concatenate([np.concatenate([np.ravel(w), b]) for _, w, b in layers])
     return Segment([spec for spec, _, _ in layers], params.astype(np.float64))
+
+
+def draw_labels(rng, n_classes: int, n: int) -> np.ndarray:
+    """n class labels in [0, n_classes), from an RngStream's next n
+    uniform doubles."""
+    return (rng.uniform(n) * n_classes).astype(np.int64)

@@ -55,6 +55,8 @@ from splitmark.watermark import (
     wm_loss,
 )
 
+from helpers import draw_labels
+
 SEEDS = (0, 1, 2, 3, 4)
 TAU = 0.7
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "splitmark", "presets")
@@ -180,7 +182,7 @@ def _network_instance(seed: int):
         rng = RngStream(1000 * seed + attempt, StreamLabel.MODEL_INIT, (11,))
         model = init_split_model(spec, rng)
         x = rng.normal(5 * 4).reshape(5, 4)
-        y = rng.integers(0, 3, 5)
+        y = draw_labels(rng, 3, 5)
         a, tb = forward_segment(model.bottom, x)
         s, tm = forward_segment(model.middle, a)
         margin = min(float(np.abs(tb.pre[0]).min()), float(np.abs(tm.pre[0]).min()))
@@ -559,7 +561,7 @@ def test_12_parties_exchange_only_boundary_tensors(wm_runs):
     server.start_round(model.middle, parse_config("").optimizer(), 1)
     rng = RngStream(9, StreamLabel.DATA)
     x = rng.normal(6 * 8).reshape(1, 6, 8)
-    y = rng.integers(0, 4, 6).reshape(1, 6)
+    y = draw_labels(rng, 4, 6).reshape(1, 6)
     train_batch(client, server, x, y, MessageLog(), 0, 0)
 
     server_attrs = vars(server)

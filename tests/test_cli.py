@@ -10,9 +10,10 @@ from splitmark.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    config_paths,
     main,
-    preset_configs,
     preset_names,
+    preset_path,
 )
 from splitmark.config import ConfigError, load_config
 from splitmark.linalg import RngStream, StreamLabel
@@ -141,6 +142,15 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
     body = key.read_text().rsplit("\nchecksum ", 1)[0].replace("\nd ", "\nx ", 1)
     no_d = tmp_path / "no_d.txt"
     no_d.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+    # a key whose first m row (line 5) is one value short, under a valid checksum
+    key_lines = key.read_text().rsplit("\nchecksum ", 1)[0].split("\n")
+    key_lines[4] = key_lines[4].rsplit(" ", 1)[0]
+    body = "\n".join(key_lines)
+    short_m = tmp_path / "short_m.txt"
+    short_m.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+    # directories where a file belongs
+    folder = str(tmp_path / "folder")
+    os.mkdir(folder)
     narrow, five = str(tmp_path / "narrow.ckpt"), str(tmp_path / "five.ckpt")
     for path, override in ((narrow, {"data.input_dim": 3}), (five, {"data.classes": 5})):
         other = load_config(tiny_cfg, override).split_spec()
@@ -155,11 +165,15 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
         (["verify", "--model", nan, "--key", str(key)], [nan, "line 8"]),
         (["verify", "--model", trailing, "--key", str(key)], [trailing, after_end]),
         (["verify", "--model", model, "--key", str(no_d)], [str(no_d), "lacks d"]),
+        (["verify", "--model", model, "--key", str(short_m)], [str(short_m), "line 5"]),
+        (["verify", "--model", folder, "--key", str(key)], [folder]),
+        (["verify", "--model", model, "--key", folder], [folder]),
         (["verify", "--model", str(garbage), "--key", str(key)], [str(garbage)]),
         (["verify", "--model", model, "--key", str(tampered)], [str(tampered)]),
         (["verify", "--model", str(cut), "--key", str(key)], [str(cut), "line 11"]),
         (["verify", "--model", model, "--key", wide_key], [wide_key, model]),
         (attack + ["--model", str(garbage)], [str(garbage)]),
+        (attack + ["--model", folder], [folder]),
         (attack + ["--model", model, "--key", str(tampered)], [str(tampered)]),
         (attack + ["--model", model, "--key", wide_key], [wide_key, model]),
         (attack + ["--model", narrow], [narrow, tiny_cfg]),
@@ -426,20 +440,57 @@ def test_attack_command_rejects_adaptive_and_empty(tiny_wm_cfg, tmp_path):
     assert main(args + ["--kind", "adaptive"]) == EXIT_CONFIG
 
 
-def test_sweep_runs_each_config_into_subdirs(tiny_cfg, tmp_path, capsys):
+def test_run_config_dir_runs_each_config_into_subdirs(tiny_cfg, tmp_path, capsys):
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()
     for name in ("one", "two"):
         (cfg_dir / f"{name}.cfg").write_text(TINY.replace("rounds = 2", "rounds = 1"))
     out = str(tmp_path / "sweep")
-    code = main(["sweep", "--config-dir", str(cfg_dir), "--out", out])
+    code = main(["run", "--config", str(cfg_dir), "--out", out])
     assert code == EXIT_OK
     lines = _json_lines(capsys)
     assert [os.path.basename(l["out"]) for l in lines] == ["one", "two"]
     for name in ("one", "two"):
         assert os.path.isfile(os.path.join(out, name, "metrics.csv"))
-    assert main(["sweep", "--config-dir", str(tmp_path / "none")]) == EXIT_CONFIG
-    assert main(["sweep"]) == EXIT_CONFIG
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["run", "--config", str(empty)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(tmp_path / "none")]) == EXIT_CONFIG
+    assert main(["run"]) == EXIT_CONFIG
+
+
+def test_run_config_dir_checks_every_config_before_training(tmp_path, capsys):
+    # the valid config sorts first, so a run that trained as it loaded
+    # would have written it before reaching the invalid one
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "a_good.cfg").write_text(TINY)
+    (cfg_dir / "b_bad.cfg").write_text(TINY + "optimizer.gear = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_dir), "--out", str(out)]) == EXIT_CONFIG
+    assert "b_bad.cfg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_configs_sharing_an_output_directory_exit_config(tmp_path, capsys):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    shared = tmp_path / "shared"
+    for name in ("one", "two"):
+        (cfg_dir / f"{name}.cfg").write_text(TINY + f"run.out = {shared}\n")
+    assert main(["run", "--config", str(cfg_dir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "one.cfg" in err and "two.cfg" in err and str(shared) in err
+    assert not shared.exists()
+
+
+def test_run_out_on_a_file_exits_config(tiny_cfg, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["run", "--config", tiny_cfg, "--out", str(taken)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert str(taken) in err
 
 
 def test_preset_listing_and_member_selection(capsys):
@@ -452,12 +503,21 @@ def test_preset_listing_and_member_selection(capsys):
     listed = capsys.readouterr().out.split()
     assert listed == names
 
-    assert len(preset_configs("fidelity")) == 4
-    members = [os.path.basename(p) for p in preset_configs("adaptive")]
+    assert len(config_paths(preset_path("fidelity"))) == 4
+    members = [os.path.basename(p) for p in config_paths(preset_path("adaptive"))]
     assert members == ["hi.cfg", "lo.cfg"]
-    (one,) = preset_configs("fidelity/clean")
+    (one,) = config_paths(preset_path("fidelity/clean"))
     assert one.endswith("clean.cfg")
     with pytest.raises(ConfigError, match="no member"):
-        preset_configs("fidelity/missing")
+        preset_path("fidelity/missing")
     with pytest.raises(ConfigError, match="unknown preset"):
-        preset_configs("imaginary")
+        preset_path("imaginary")
+
+
+def test_preset_names_cannot_leave_the_presets(tmp_path, capsys):
+    # both parts are matched by name, so no path outside the presets resolves
+    out = tmp_path / "never"
+    names = ("../x", "fidelity/../../cli", "fidelity/../detector/clean", "", "fidelity/")
+    for name in names:
+        assert main(["run", "--preset", name, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()

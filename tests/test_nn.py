@@ -20,6 +20,7 @@ from splitmark.nn import (
     forward_full,
     forward_segment,
     hex_lines,
+    hex_rows,
     init_segment,
     init_split_model,
     load_model,
@@ -28,7 +29,7 @@ from splitmark.nn import (
     softmax_xent,
 )
 
-from helpers import segment_of as _segment, segments_equal
+from helpers import draw_labels, segment_of as _segment, segments_equal
 
 
 def _random_segment(rng, dims, activations=None):
@@ -266,6 +267,27 @@ def test_wide_checkpoint_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "72e89eaa271e69f2fb12444d1fa0176a2caedab5e6be43f33d684c2bb78c56fe"
     )
+
+
+def test_hex_rows_reads_back_what_hex_lines_writes():
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 2**64, size=(40, 30), dtype=np.uint64).view(np.float64)
+    rows[~np.isfinite(rows)] = 0.0
+    rows[0, :3] = (0.0, -0.0, 5e-324)
+    lines = ["header"] + hex_lines("w", rows).decode().splitlines()
+    back = hex_rows(lines, 1, "w", 40, 30)
+    assert back.tobytes() == rows.tobytes()  # bit for bit, -0.0 included
+    for args, message in (
+        ((41, 30, "w"), "ends early, before line 42"),
+        ((40, 30, "b"), "expected a b row of 30 values at line 2"),
+        ((40, 31, "w"), "expected a w row of 31 values at line 2"),
+    ):
+        n_rows, n_cols, tag = args
+        with pytest.raises(ValueError, match=message):
+            hex_rows(lines, 1, tag, n_rows, n_cols)
+    lines[7] = "w inf " + lines[7].split(" ", 2)[2]
+    with pytest.raises(ValueError, match="non-finite value at line 8"):
+        hex_rows(lines, 1, "w", 40, 30)
 
 
 def test_hex_lines_is_float_hex_on_every_kind_of_bit_pattern():
@@ -581,7 +603,7 @@ def _chain_and_batch(seed, dims_per_segment):
         segments.append(_random_segment(rng, dims, acts))
     n_in, n_classes = dims_per_segment[0][0], dims_per_segment[-1][-1]
     x = rng.normal(7 * n_in).reshape(7, n_in)
-    return segments, x, rng.integers(0, n_classes, 7)
+    return segments, x, draw_labels(rng, n_classes, 7)
 
 
 def test_sgd_step_is_bitwise_the_hand_wired_three_segment_step():
