@@ -57,26 +57,27 @@ def check_blobs(n_per_class: int, n_classes: int, input_dim: int, spread: float)
         )
 
 
+# Radius of the hypersphere that make_blobs puts the class means on.
+RADIUS = 1.5
+
+
 def make_blobs(
     rng: RngStream,
     n_per_class: int,
     n_classes: int,
     input_dim: int,
     spread: float,
-    radius: float = 1.5,
 ) -> Dataset:
-    """Gaussian blobs with class means on a radius-scaled hypersphere.
+    """Gaussian blobs with class means on a RADIUS-scaled hypersphere.
 
     Each class mean is a random direction (normalized Gaussian) scaled by
-    radius; samples are mean + spread * N(0, I). Rows come back grouped by
+    RADIUS; samples are mean + spread * N(0, I). Rows come back grouped by
     class, so index i * n_per_class + j is sample j of class i.
     """
     check_blobs(n_per_class, n_classes, input_dim, spread)
-    if not radius > 0.0:
-        raise ValueError("radius must be > 0")
     means = rng.normal(n_classes * input_dim).reshape(n_classes, input_dim)
     means /= np.sqrt((means**2).sum(axis=1, keepdims=True))
-    means *= radius
+    means *= RADIUS
     xs = []
     ys = []
     for c in range(n_classes):

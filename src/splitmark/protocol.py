@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -376,8 +376,9 @@ class ProtocolConfig:
     batch_size: int = 25
     opt: OptimizerConfig = OptimizerConfig()
     probe_samples: int = 64
-    # The client whose received rows are logged in RunResult.grad_rounds;
-    # it is the detecting client and the adaptive attacker in every run.
+    # The client whose received rows the detector scores and
+    # RunResult.grad_rounds keeps; it is the detecting client and the
+    # adaptive attacker in every run.
     detector_client: ClassVar[int] = 0
 
     def __post_init__(self):
@@ -409,10 +410,10 @@ class RoundMetrics:
 class RunResult:
     """Everything a run leaves behind.
 
-    grad_rounds maps round index to the final gradients that client
-    cfg.detector_client received that round, stacked per sample; the
-    detector scores them and the adaptive attack estimates its subspace
-    from them.
+    grad_rounds maps each kept round (run_experiment's keep_rounds) to the
+    final gradients that client cfg.detector_client received that round,
+    stacked per sample; the adaptive attack estimates its subspace from
+    them.
     """
 
     metrics: list[RoundMetrics]
@@ -437,6 +438,7 @@ def run_experiment(
     embed: EmbedConfig | None = None,
     noise: NoiseSpec | None = None,
     detector: DetectorState | None = None,
+    keep_rounds: Iterable[int] = (),
 ) -> RunResult:
     """Train for cfg.n_rounds federated rounds and return the aggregate.
 
@@ -452,8 +454,10 @@ def run_experiment(
     aggregated bottom is probed after every round with fresh random inputs
     and the match rate is recorded. When a detector state is given, the
     per-sample final gradients received by the detector client are scored
-    once per round. ServerWorker rejects a key without an embed config and
-    the reverse before training starts.
+    once per round. RunResult.grad_rounds keeps those rows only for the
+    rounds in keep_rounds (the detector remembers its own recent rounds).
+    ServerWorker rejects a key without an embed config and the reverse
+    before training starts.
     """
     if not shards:
         raise ValueError("at least one client shard is required")
@@ -508,9 +512,12 @@ def run_experiment(
 
     metrics: list[RoundMetrics] = []
     all_stats: list[BatchStats] = []
+    keep = frozenset(keep_rounds)
     grad_rounds: dict[int, np.ndarray] = {}
 
     for t in range(cfg.n_rounds):
+        # The detector client's received rows, when this round is scored or kept.
+        rows = None
         # client -> its BatchStats, and its (bottom, middle, head) replicas
         client_stats: list = [None] * n_clients
         trained: list = [None] * n_clients
@@ -522,9 +529,9 @@ def run_experiment(
             # The detector client's rows are copied out as they arrive, so no
             # step's stacked reply outlives the step.
             received = None
-            if cfg.detector_client in group:
+            if cfg.detector_client in group and (detector is not None or t in keep):
                 watched = group.index(cfg.detector_client)
-                received = grad_rounds[t] = np.empty((cfg.local_epochs * n, spec.split_dim))
+                received = rows = np.empty((cfg.local_epochs * n, spec.split_dim))
             steps: list[list[BatchStats]] = []
             for epoch in range(cfg.local_epochs):
                 order = np.stack([shuffle_rngs[ci].permutation(n) for ci in group])
@@ -555,8 +562,10 @@ def run_experiment(
                 model.bottom, key, probe_rng.child(t), n_samples=cfg.probe_samples
             ).wsr
         outliers = None
-        if detector is not None and t in grad_rounds:
-            outliers = score_round(detector, grad_rounds[t])
+        if detector is not None:
+            outliers = score_round(detector, rows)
+        if t in keep:
+            grad_rounds[t] = rows
         mean = BatchStats(*map(_mean_or_none, zip(*round_stats)))
         metrics.append(
             RoundMetrics(

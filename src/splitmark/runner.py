@@ -101,7 +101,10 @@ class TrainedRun(NamedTuple):
 def train_run(cfg: Config) -> TrainedRun:
     """Build what the config describes and train it: data, shards, the key
     (when embedding), the detector (when detector.enabled) and noise, in
-    that order, then one run_experiment call."""
+    that order, then one run_experiment call. The run keeps the detector
+    client's received rows of the adaptive attack's two round windows when
+    "adaptive" is in attack.kinds, and of no round otherwise: the attack is
+    their only reader after the run."""
     seed = cfg["run.seed"]
     shards, test = build_data(cfg)
     spec, embed = cfg.split_spec(), cfg.embed()
@@ -111,9 +114,12 @@ def train_run(cfg: Config) -> TrainedRun:
             RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, cfg["embed.bits"]
         )
     detector = build_detector(cfg, shards) if cfg["detector.enabled"] else None
+    keep = set()
+    if "adaptive" in cfg["attack.kinds"]:
+        keep = {*range(*cfg["attack.rounds_early"]), *range(*cfg["attack.rounds_late"])}
     res = run_experiment(
         spec, cfg.protocol(), shards, test, seed,
-        key=key, embed=embed, noise=cfg.noise(), detector=detector,
+        key=key, embed=embed, noise=cfg.noise(), detector=detector, keep_rounds=keep,
     )
     return TrainedRun(res, key, shards, test)
 

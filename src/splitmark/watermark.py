@@ -331,10 +331,18 @@ def save_key(key: WatermarkKey, path: str) -> None:
 
 
 def load_key(path: str) -> WatermarkKey:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    """Read a key written by save_key. The checksum covers the exact bytes
+    above the checksum line, and a blank line anywhere is rejected, so any
+    edit fails here; errors name file lines (line 1 is the magic line)."""
+    with open(path, "rb") as fh:
+        lines = fh.read().decode("ascii").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the checksum line
     if not lines or lines[0] != _KEY_MAGIC:
         raise ValueError(f"not a {_KEY_MAGIC} file")
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            raise ValueError(f"blank line {line_no} in key file")
     if not lines[-1].startswith("checksum "):
         raise ValueError("key file is missing its checksum line")
     body = "\n".join(lines[:-1])

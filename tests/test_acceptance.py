@@ -11,8 +11,8 @@ Shared fixtures hold the five-seed desk runs (64-wide split model, ten IID
 clients, thirty rounds) that several guarantees read from different angles:
 the clip bound inspects per-batch norms, fidelity compares accuracies,
 calibration borrows the clean models, the removal attacks start from the
-seed-0 watermarked bottom, and the detector scores the logged gradient
-traffic.
+seed-0 watermarked bottom, and the detector scores each round's gradient
+traffic while the run trains.
 """
 
 import math
@@ -27,7 +27,6 @@ from splitmark.attacks import finetune, prune, quantize, subspace_penalty
 from splitmark.cli import main as cli_main
 from splitmark.config import Config, load_config, parse_config
 from splitmark.data import Dataset
-from splitmark.detect import DetectorState, score_round
 from splitmark.linalg import RngStream, StreamLabel, orthonormal_columns
 from splitmark.nn import (
     LayerSpec,
@@ -80,8 +79,9 @@ class RunBundle:
     elapsed: float
 
 
-def _desk_cfg(seed: int, strength: float | None, detector: bool = False) -> Config:
-    lines = [f"run.seed = {seed}", f"detector.enabled = {detector}"]
+def _desk_cfg(seed: int, strength: float | None) -> Config:
+    """A desk config with the detector scoring every round in-run."""
+    lines = [f"run.seed = {seed}", "detector.enabled = true"]
     if strength is not None:
         lines += ["embed.enabled = true", f"embed.strength = {strength}"]
     return parse_config("\n".join(lines))
@@ -119,8 +119,8 @@ def clean_runs() -> list[RunBundle]:
 
 @pytest.fixture(scope="module")
 def heavy_runs() -> list[RunBundle]:
-    """Five-seed desk runs at strength 1.0 with the detector live in-run."""
-    return [_execute(_desk_cfg(s, 1.0, detector=True)) for s in SEEDS]
+    """Five-seed desk runs at strength 1.0."""
+    return [_execute(_desk_cfg(s, 1.0)) for s in SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -444,17 +444,9 @@ def test_09_subspace_attack_separates_loud_from_stealthy():
 # 10. detector ordering
 
 
-def _count_means(bundles: list[RunBundle], states: dict[int, DetectorState]):
-    means = []
-    for bundle in bundles:
-        st = states[bundle.cfg["run.seed"]]
-        fresh = DetectorState(st.reference)
-        counts = [
-            score_round(fresh, bundle.res.grad_rounds[t])
-            for t in sorted(bundle.res.grad_rounds)
-        ]
-        means.append(float(np.mean(counts)))
-    return means
+def _count_means(bundles: list[RunBundle]) -> list[float]:
+    """Each run's mean in-run outlier count per round."""
+    return [float(np.mean([m.outliers for m in b.res.metrics])) for b in bundles]
 
 
 def test_10_detector_flags_only_the_loud_embedding(
@@ -463,22 +455,19 @@ def test_10_detector_flags_only_the_loud_embedding(
     """Mean outlier counts order as clean ~ 0.01 ~ 0.1 < 1.0, the loud arm
     at least doubles the clean mean, and both quiet arms sit inside the
     clean runs' min-max band."""
-    states = {b.cfg["run.seed"]: build_detector(b.cfg, b.shards) for b in clean_runs}
+    # Every arm's detector is the clean run's: its reference depends on the
+    # seed's shard alone, never on the embedding.
+    references = {
+        b.cfg["run.seed"]: build_detector(b.cfg, b.shards).reference for b in clean_runs
+    }
+    for bundle in stealth_runs + wm_runs + heavy_runs:
+        reference = build_detector(bundle.cfg, bundle.shards).reference
+        assert np.array_equal(reference, references[bundle.cfg["run.seed"]])
 
-    for bundle in heavy_runs:
-        st = states[bundle.cfg["run.seed"]]
-        fresh = DetectorState(st.reference)
-        recounted = [
-            score_round(fresh, bundle.res.grad_rounds[t])
-            for t in sorted(bundle.res.grad_rounds)
-        ]
-        in_run = [m.outliers for m in bundle.res.metrics]
-        assert recounted == in_run
-
-    m_clean = _count_means(clean_runs, states)
-    m_stealth = _count_means(stealth_runs, states)
-    m_default = _count_means(wm_runs, states)
-    m_heavy = _count_means(heavy_runs, states)
+    m_clean = _count_means(clean_runs)
+    m_stealth = _count_means(stealth_runs)
+    m_default = _count_means(wm_runs)
+    m_heavy = _count_means(heavy_runs)
 
     clean_mean = float(np.mean(m_clean))
     heavy_mean = float(np.mean(m_heavy))

@@ -35,7 +35,7 @@ def _rng(seed=0, path=(0,)):
 
 def _shard(seed=0, per_class=30, classes=3, dim=6):
     rng = RngStream(seed, StreamLabel.DATA, (7,))
-    return make_blobs(rng, per_class, classes, dim, 0.4, 1.5)
+    return make_blobs(rng, per_class, classes, dim, 0.4)
 
 
 def _bottom(seed=0, in_dim=6, width=10):

@@ -20,7 +20,7 @@ from splitmark.linalg import RngStream, StreamLabel
 from splitmark.nn import init_split_model, save_model
 from splitmark.watermark import keygen, save_key
 
-from helpers import RETIRED_KEYS
+from helpers import RETIRED_KEYS, blas_environment
 
 TINY = """
 run.rounds = 2
@@ -142,12 +142,20 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
     body = key.read_text().rsplit("\nchecksum ", 1)[0].replace("\nd ", "\nx ", 1)
     no_d = tmp_path / "no_d.txt"
     no_d.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
-    # a key whose first m row (line 5) is one value short, under a valid checksum
+    # keys whose first or fourth m row (line 5 or 8) is one value short,
+    # under a valid checksum
     key_lines = key.read_text().rsplit("\nchecksum ", 1)[0].split("\n")
-    key_lines[4] = key_lines[4].rsplit(" ", 1)[0]
-    body = "\n".join(key_lines)
-    short_m = tmp_path / "short_m.txt"
-    short_m.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+    short_m, short_m8 = tmp_path / "short_m.txt", tmp_path / "short_m8.txt"
+    for path, row in ((short_m, 4), (short_m8, 7)):
+        cut_lines = list(key_lines)
+        cut_lines[row] = cut_lines[row].rsplit(" ", 1)[0]
+        body = "\n".join(cut_lines)
+        path.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+    # a key with a blank line inserted as line 5, its checksum left as saved
+    blank_lines = key.read_text().split("\n")
+    blank_lines.insert(4, "")
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n".join(blank_lines))
     # directories where a file belongs
     folder = str(tmp_path / "folder")
     os.mkdir(folder)
@@ -166,6 +174,8 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
         (["verify", "--model", trailing, "--key", str(key)], [trailing, after_end]),
         (["verify", "--model", model, "--key", str(no_d)], [str(no_d), "lacks d"]),
         (["verify", "--model", model, "--key", str(short_m)], [str(short_m), "line 5"]),
+        (["verify", "--model", model, "--key", str(short_m8)], [str(short_m8), "line 8"]),
+        (["verify", "--model", model, "--key", str(blank)], [str(blank), "line 5"]),
         (["verify", "--model", folder, "--key", str(key)], [folder]),
         (["verify", "--model", model, "--key", folder], [folder]),
         (["verify", "--model", str(garbage), "--key", str(key)], [str(garbage)]),
@@ -366,14 +376,19 @@ FROZEN_TINY_RUNS = [
 
 
 def test_tiny_keyed_run_artifacts_are_frozen(tmp_path, capsys):
-    # embedding on in every run; the second run also scores every round
+    # embedding on in every run; the second run also scores every round.
+    # model.ckpt bits depend on the BLAS kernel (the digests were recorded
+    # under OpenBLAS's SkylakeX kernel), so a mismatch names this host's.
     for i, (extra, flags, digests) in enumerate(FROZEN_TINY_RUNS):
         cfg, out = tmp_path / f"tiny{i}.cfg", str(tmp_path / f"run{i}")
         cfg.write_text(TINY + "embed.enabled = true\n" + extra)
         assert main(["run", "--config", str(cfg), "--out", out, *flags]) == EXIT_OK
         for name, digest in digests.items():
             with open(os.path.join(out, name), "rb") as fh:
-                assert hashlib.sha256(fh.read()).hexdigest() == digest, (i, name)
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, (
+                    f"run {i}: {name} differs from its pinned digest under "
+                    f"{blas_environment()}"
+                )
     capsys.readouterr()
 
 

@@ -16,10 +16,8 @@ from splitmark.data import (
 from splitmark.linalg import NumericalError, RngStream, StreamLabel
 
 
-def _blobs(seed=0, n=100, classes=4, dim=8, spread=0.5, radius=3.0):
-    return make_blobs(
-        RngStream(seed, StreamLabel.DATA), n, classes, dim, spread, radius
-    )
+def _blobs(seed=0, n=100, classes=4, dim=8, spread=0.5):
+    return make_blobs(RngStream(seed, StreamLabel.DATA), n, classes, dim, spread)
 
 
 def test_blobs_shapes_and_grouping():
@@ -46,7 +44,7 @@ def test_blobs_same_seed_identical():
 def test_blobs_linearly_separable_when_tight():
     # Tiny spread relative to the class separation: a least-squares linear
     # classifier (closed form, no iterative training) must reach 100%.
-    ds = _blobs(n=50, classes=2, dim=6, spread=0.01, radius=3.0)
+    ds = _blobs(n=50, classes=2, dim=6, spread=0.01)
     x = np.hstack([ds.inputs, np.ones((len(ds.inputs), 1))])
     targets = np.where(ds.labels == 0, -1.0, 1.0)
     w, *_ = np.linalg.lstsq(x, targets, rcond=None)
@@ -110,7 +108,7 @@ def test_partition_disjoint_cover_every_mode():
 def test_dirichlet_low_beta_concentrates():
     # At beta=0.1 with 10 clients / 10 classes, the fixed-seed draw puts
     # >= 80% of some client's samples into at most 2 classes.
-    ds = make_blobs(RngStream(0, StreamLabel.DATA), 100, 10, 4, 0.5, 3.0)
+    ds = make_blobs(RngStream(0, StreamLabel.DATA), 100, 10, 4, 0.5)
     shards = partition(ds, PartitionSpec(10, "dirichlet", beta=0.1, seed=0))
     found = False
     for idx in shards:

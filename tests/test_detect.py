@@ -30,7 +30,7 @@ def _spec(in_dim=6, width=10, classes=3):
 
 def _shard(seed=0, per_class=40):
     rng = RngStream(seed, StreamLabel.DATA, (3,))
-    return make_blobs(rng, per_class, 3, 6, 0.4, 1.5)
+    return make_blobs(rng, per_class, 3, 6, 0.4)
 
 
 def _state(seed=0):

@@ -40,7 +40,8 @@ from splitmark.watermark import (
     wm_loss,
 )
 from splitmark.attacks import NoiseSpec
-from splitmark.runner import build_data
+from splitmark.detect import DetectorState, score_round
+from splitmark.runner import build_data, build_detector, train_run
 
 from helpers import segment_of, segments_equal
 
@@ -55,7 +56,7 @@ def _spec(width=8, classes=3, in_dim=4):
 
 def _shards(seed=0, n=30, classes=3, in_dim=4, clients=3):
     rng = RngStream(seed, StreamLabel.DATA, (0,))
-    full = make_blobs(rng, n, classes, in_dim, 0.5, 3.0)
+    full = make_blobs(rng, n, classes, in_dim, 0.5)
     train, test = split_per_class(full, 5)
     idx = partition(train, PartitionSpec(clients, "iid", seed=seed))
     return [train.subset(i) for i in idx], test
@@ -279,7 +280,8 @@ def test_server_rejects_task_gradient_whose_norm_overflows(monkeypatch):
 
 
 def test_client_step_rejects_a_weight_that_overflows():
-    # Inputs scaled by 100 keep the softmax and every gradient finite, but
+    # Inputs scaled by 100 keep the softmax and every gradient finite, and
+    # labels moved one class on keep the head's error term large, but
     # lr = 1e308 sends the head weights past the float range in the
     # client's update. The batch must stop there: otherwise the inf stays
     # in the head and, on a round's last batch, is averaged into the model.
@@ -289,7 +291,7 @@ def test_client_step_rejects_a_weight_that_overflows():
     server = ServerWorker()
     server.start_round(model.middle, OptimizerConfig(), 1)
     shards, _ = _shards(3)
-    x, y = shards[0].inputs[:5] * 100.0, shards[0].labels[:5]
+    x, y = shards[0].inputs[:5] * 100.0, (shards[0].labels[:5] + 1) % 3
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="parameter"):
         train_batch(client, server, x[None], y[None], MessageLog(), 0, 0)
 
@@ -442,12 +444,87 @@ def test_watermark_fields_none_without_key():
 
 
 def test_grad_rounds_logged_per_sample():
-    res = _run(seed=0, lam=0.1, rounds=2)
+    res = _run(seed=0, lam=0.1, rounds=2, keep_rounds=range(2))
     shards, _ = _shards(0)
     assert set(res.grad_rounds) == {0, 1}
     rows = res.grad_rounds[0]
     # attacker client 0 sees one row per sample per local epoch
     assert rows.shape == (len(shards[0]), _spec().split_dim)
+
+
+def test_run_keeps_only_the_rounds_asked_for():
+    # Keeping rows is bookkeeping: the model is the same whatever is kept.
+    kept = _run(seed=0, lam=0.1, rounds=3, keep_rounds={0, 2})
+    assert sorted(kept.grad_rounds) == [0, 2]
+    plain = _run(seed=0, lam=0.1, rounds=3)
+    assert plain.grad_rounds == {}
+    for name in ("bottom", "middle", "head"):
+        assert segments_equal(getattr(kept.model, name), getattr(plain.model, name))
+
+
+def test_in_run_outliers_match_a_fresh_detector_on_the_kept_rows():
+    # The detector scores each round's rows as the round ends; a state
+    # rebuilt from the same reference, fed the kept rows afterwards, counts
+    # the same. Dropping the rows after scoring changes no count. Two desk
+    # rounds at strength 1.0, seed 1, flag rows in both rounds.
+    cfg = parse_config("run.seed = 1\nrun.rounds = 2\nembed.enabled = true\nembed.strength = 1.0")
+    shards, test = build_data(cfg)
+    spec, pcfg = cfg.split_spec(), cfg.protocol()
+    key = keygen(RngStream(1, StreamLabel.WATERMARK_KEY), spec.split_dim, cfg["embed.bits"])
+    reference = build_detector(cfg, shards).reference
+
+    def run(keep_rounds):
+        return run_experiment(
+            spec, pcfg, shards, test, 1, key=key, embed=cfg.embed(),
+            detector=DetectorState(reference), keep_rounds=keep_rounds,
+        )
+
+    kept = run(range(pcfg.n_rounds))
+    fresh = DetectorState(reference)
+    recounted = [score_round(fresh, kept.grad_rounds[t]) for t in range(pcfg.n_rounds)]
+    in_run = [m.outliers for m in kept.metrics]
+    assert recounted == in_run
+    assert all(count > 0 for count in in_run)
+    dropped = run(())
+    assert dropped.grad_rounds == {}
+    assert [m.outliers for m in dropped.metrics] == in_run
+
+
+# Two clients with 45-sample shards, four rounds, a keyed 8-wide split.
+_TINY_RUN = """
+run.rounds = 4
+run.local_epochs = 1
+run.batch_size = 10
+data.classes = 3
+data.input_dim = 4
+data.train_per_class = 30
+data.test_per_class = 5
+partition.clients = 2
+model.widths = 8,8
+model.split = 1
+embed.enabled = true
+embed.bits = 4
+"""
+
+
+@pytest.mark.parametrize("detector", [False, True], ids=["plain", "detector"])
+def test_train_run_keeps_no_rounds_without_the_adaptive_attack(detector):
+    cfg = parse_config(_TINY_RUN + f"detector.enabled = {detector}\nattack.kinds = prune\n")
+    res = train_run(cfg).result
+    assert res.grad_rounds == {}
+    assert all((m.outliers is not None) == detector for m in res.metrics)
+
+
+def test_train_run_keeps_the_adaptive_attack_windows():
+    cfg = parse_config(
+        _TINY_RUN
+        + "attack.kinds = adaptive, prune\n"
+        + "attack.rounds_early = 0, 1\nattack.rounds_late = 2, 4\n"
+        + "attack.n_main = 1\nattack.k_prime = 2\n"
+    )
+    res = train_run(cfg).result
+    assert sorted(res.grad_rounds) == [0, 2, 3]
+    assert all(rows.shape == (45, 8) for rows in res.grad_rounds.values())
 
 
 def test_noise_config_changes_training():
@@ -533,7 +610,10 @@ def test_lockstep_groups_match_clients_trained_one_by_one(noise):
     spec, pcfg, seed = cfg.split_spec(), cfg.protocol(), 1
     key = keygen(RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, 4)
     embed = EmbedConfig(strength=0.5)
-    res = run_experiment(spec, pcfg, shards, test, seed, key=key, embed=embed, noise=noise)
+    res = run_experiment(
+        spec, pcfg, shards, test, seed, key=key, embed=embed, noise=noise,
+        keep_rounds=range(pcfg.n_rounds),
+    )
 
     # The reference drives the party classes one client at a time, in
     # client order, each client a group of one with its own streams.
