@@ -26,18 +26,20 @@ stacks batch j of every client in the group along a leading replica axis
 and runs the four messages once for all of them, against G replicas of
 the bottom, middle and head segments (see nn), and logs each message once
 per step. Each client keeps its own shuffle and noise streams and its own
-BatchStats per batch; stats are kept client by client and FedAvg sums in
-client order, so a run gives the same bits as training the clients one
-after another. IID shards of equal size form one group, a skewed
-partition several, a single client a group of one.
+BatchStats per batch; a run stores them as one float64 table in
+client-major order within each round, and FedAvg sums in client order, so
+a run gives the same bits as training the clients one after another. IID
+shards of equal size form one group, a skewed partition several, a single
+client a group of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -96,6 +98,23 @@ class Message(NamedTuple):
     shape: tuple[int, ...]
 
 
+class Messages:
+    """Read-only view of a MessageLog's entries as one Message per client, in
+    group order. Its length comes from the entries' client tuples, and each
+    Message is built only as iteration reaches it."""
+
+    def __init__(self, entries: list[tuple]):
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return sum(len(clients) for _, _, clients, _, _ in self._entries)
+
+    def __iter__(self) -> Iterator[Message]:
+        for kind, round_idx, clients, batch, shape in self._entries:
+            for ci in clients:
+                yield Message(kind, round_idx, ci, batch, shape)
+
+
 class MessageLog:
     """Append-only record of every tensor that crossed the split boundary:
     one entry (kind, round_idx, clients, batch, shape) per kind per lockstep
@@ -108,27 +127,48 @@ class MessageLog:
         self.entries.append((kind, round_idx, clients, batch, shape))
 
     @property
-    def messages(self) -> list[Message]:
+    def messages(self) -> Messages:
         """The entries read back as one Message per client, in group order."""
-        return [
-            Message(kind, round_idx, ci, batch, shape)
-            for kind, round_idx, clients, batch, shape in self.entries
-            for ci in clients
-        ]
+        return Messages(self.entries)
 
     def verify_ordering(self) -> None:
-        """Every (round, client, batch) triple must show the exact
-        four-message sequence; anything else raises ProtocolError."""
-        groups: dict[tuple[int, int, int], list[MessageKind]] = {}
-        for kind, round_idx, clients, batch, _ in self.entries:
+        """Each step's four entries must carry the four kinds in order under
+        one (round, clients, batch), and no client may be in two steps of one
+        (round, batch). Then every (round, client, batch) triple shows the
+        exact four-message sequence; anything else raises ProtocolError
+        naming a triple."""
+        entries = self.entries
+        seen: dict[tuple[int, int], set[int]] = {}
+        # The entries four at a time, one step each; a short tail is checked last.
+        for a, b, c, d in zip(*[iter(entries)] * 4):
+            where = a[1:4]
+            if (a[0], b[0], c[0], d[0]) != _BATCH_SEQUENCE or not (
+                where == b[1:4] == c[1:4] == d[1:4]
+            ):
+                _reject_step((a, b, c, d))
+            _, round_idx, clients, batch, _ = a
+            done = seen.setdefault((round_idx, batch), set())
             for ci in clients:
-                groups.setdefault((round_idx, ci, batch), []).append(kind)
-        for key, kinds in groups.items():
-            if tuple(kinds) != _BATCH_SEQUENCE:
-                raise ProtocolError(
-                    f"batch {key} exchanged {[k.value for k in kinds]}, "
-                    f"expected {[k.value for k in _BATCH_SEQUENCE]}"
-                )
+                if ci in done:
+                    raise ProtocolError(
+                        f"batch {(round_idx, ci, batch)}: client {ci} is in two "
+                        "steps of one round and batch"
+                    )
+                done.add(ci)
+        if len(entries) % 4:
+            _reject_step(entries[-(len(entries) % 4) :])
+
+
+def _reject_step(step: Sequence[tuple]) -> NoReturn:
+    """Raise for a step whose entries are not the four kinds in order under
+    one (round, clients, batch), naming its first entry's first client."""
+    _, round_idx, clients, batch, _ = step[0]
+    logged = ", ".join(f"{e[0].value} {e[2]}" for e in step)
+    expected = ", ".join(kind.value for kind in _BATCH_SEQUENCE)
+    raise ProtocolError(
+        f"batch {(round_idx, clients[0] if clients else None, batch)}: its step "
+        f"logged {logged}; expected {expected} under one client tuple"
+    )
 
 
 class BatchStats(NamedTuple):
@@ -146,6 +186,46 @@ class BatchStats(NamedTuple):
     cos_main_wm: float | None
     main_loss: float
     train_acc: float
+
+
+# BatchStats positions of the four watermark fields, None without a key.
+_WM_FIELDS = slice(1, 5)
+
+
+class BatchStatsTable(Sequence):
+    """Read-only sequence of BatchStats over a float64 table with one row per
+    field and one column per client-batch. Its length is the column count,
+    and each BatchStats is built only when read; a table of a run without a
+    key reads None in the four watermark fields."""
+
+    # Columns converted to rows at a time while iterating.
+    _BLOCK = 256
+
+    def __init__(self, table: np.ndarray, keyed: bool):
+        self._table = table
+        self._keyed = keyed
+
+    def _stats(self, values: list) -> BatchStats:
+        if not self._keyed:
+            values[_WM_FIELDS] = [None] * 4
+        return BatchStats(*values)
+
+    def __len__(self) -> int:
+        return self._table.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BatchStatsTable(self._table[:, i], self._keyed)
+        return self._stats(self._table[:, i].tolist())
+
+    def __iter__(self) -> Iterator[BatchStats]:
+        for start in range(0, len(self), self._BLOCK):
+            for values in self._table[:, start : start + self._BLOCK].T.tolist():
+                yield self._stats(values)
+
+    def mean(self) -> BatchStats:
+        """Each field's mean over the columns, as np.mean of its values gives."""
+        return self._stats(self._table.mean(axis=1).tolist())
 
 
 def _norms(g: np.ndarray) -> list[float]:
@@ -410,22 +490,18 @@ class RoundMetrics:
 class RunResult:
     """Everything a run leaves behind.
 
-    grad_rounds maps each kept round (run_experiment's keep_rounds) to the
-    final gradients that client cfg.detector_client received that round,
-    stacked per sample; the adaptive attack estimates its subspace from
-    them.
+    batch_stats holds every client-batch's BatchStats, round by round and
+    client-major within a round. grad_rounds maps each kept round
+    (run_experiment's keep_rounds) to the final gradients that client
+    cfg.detector_client received that round, stacked per sample; the
+    adaptive attack estimates its subspace from them.
     """
 
     metrics: list[RoundMetrics]
     model: SplitModel
     message_log: MessageLog
-    batch_stats: list[BatchStats]
+    batch_stats: BatchStatsTable
     grad_rounds: dict[int, np.ndarray]
-
-
-def _mean_or_none(values) -> float | None:
-    vals = [v for v in values if v is not None]
-    return float(np.mean(vals)) if vals else None
 
 
 def run_experiment(
@@ -509,17 +585,22 @@ def run_experiment(
     server = ServerWorker(key=key, embed=embed)
     log = MessageLog()
     weights = np.array([len(s) for s in shards], dtype=np.float64)
+    # One column per client-batch. A round's columns are client-major, and
+    # client ci's run of them starts at starts[ci] within the round's block.
+    batches = [cfg.local_epochs * -(-len(s) // cfg.batch_size) for s in shards]
+    per_round = sum(batches)
+    starts = np.cumsum([0, *batches[:-1]])
+    table = np.empty((len(BatchStats._fields), cfg.n_rounds * per_round))
+    stats = BatchStatsTable(table, keyed=key is not None)
 
     metrics: list[RoundMetrics] = []
-    all_stats: list[BatchStats] = []
     keep = frozenset(keep_rounds)
     grad_rounds: dict[int, np.ndarray] = {}
 
     for t in range(cfg.n_rounds):
         # The detector client's received rows, when this round is scored or kept.
         rows = None
-        # client -> its BatchStats, and its (bottom, middle, head) replicas
-        client_stats: list = [None] * n_clients
+        # client -> its (bottom, middle, head) replicas
         trained: list = [None] * n_clients
         for client, inputs, labels, offsets in lanes:
             group = client.clients
@@ -538,20 +619,21 @@ def run_experiment(
                 order += offsets
                 for start in range(0, n, cfg.batch_size):
                     sel = order[:, start : start + cfg.batch_size]
-                    stats, g_final = train_batch(
+                    step, g_final = train_batch(
                         client, server, inputs[sel], labels[sel], log, t, len(steps)
                     )
-                    steps.append(stats)
+                    steps.append(step)
                     if received is not None:
                         row = epoch * n + start
                         received[row : row + sel.shape[1]] = g_final[watched]
-            for i, (ci, stats) in enumerate(zip(group, zip(*steps))):
-                client_stats[ci] = stats
+            # (step, replica, field) -> (field, replica, step); a None reads NaN
+            cols = t * per_round + starts[list(group)][:, None] + np.arange(len(steps))
+            table[:, cols] = np.array(steps, dtype=np.float64).transpose(2, 1, 0)
+            for i, ci in enumerate(group):
                 trained[ci] = tuple(
                     seg.replica(i) for seg in (client.bottom, server.middle, client.head)
                 )
         model = SplitModel(*(fedavg_segments(segs, weights) for segs in zip(*trained)))
-        round_stats = [st for stats in client_stats for st in stats]
 
         test_acc = None
         if test is not None and len(test) > 0:
@@ -566,7 +648,7 @@ def run_experiment(
             outliers = score_round(detector, rows)
         if t in keep:
             grad_rounds[t] = rows
-        mean = BatchStats(*map(_mean_or_none, zip(*round_stats)))
+        mean = stats[t * per_round : (t + 1) * per_round].mean()
         metrics.append(
             RoundMetrics(
                 round_idx=t,
@@ -581,13 +663,12 @@ def run_experiment(
                 outliers=outliers,
             )
         )
-        all_stats.extend(round_stats)
 
     log.verify_ordering()
     return RunResult(
         metrics=metrics,
         model=model,
         message_log=log,
-        batch_stats=all_stats,
+        batch_stats=stats,
         grad_rounds=grad_rounds,
     )

@@ -359,5 +359,7 @@ def load_key(path: str) -> WatermarkKey:
     bits_line = lines[4 + d]
     if not bits_line.startswith("bits "):
         raise ValueError("malformed bits line")
+    if len(lines) > 6 + d:
+        raise ValueError(f"unexpected line {6 + d} after the bits line")
     bits = np.array([float(ch) for ch in bits_line.split(" ", 1)[1]])
     return WatermarkKey(m, bits, seed=seed)

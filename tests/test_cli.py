@@ -151,6 +151,11 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
         cut_lines[row] = cut_lines[row].rsplit(" ", 1)[0]
         body = "\n".join(cut_lines)
         path.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+    # a key with a line between bits and checksum, under a valid checksum
+    extra = tmp_path / "extra.txt"
+    body = "\n".join(key_lines + ["extra line here"])
+    extra.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+    extra_line = f"line {len(key_lines) + 1}"
     # a key with a blank line inserted as line 5, its checksum left as saved
     blank_lines = key.read_text().split("\n")
     blank_lines.insert(4, "")
@@ -176,6 +181,7 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
         (["verify", "--model", model, "--key", str(short_m)], [str(short_m), "line 5"]),
         (["verify", "--model", model, "--key", str(short_m8)], [str(short_m8), "line 8"]),
         (["verify", "--model", model, "--key", str(blank)], [str(blank), "line 5"]),
+        (["verify", "--model", model, "--key", str(extra)], [str(extra), extra_line]),
         (["verify", "--model", folder, "--key", str(key)], [folder]),
         (["verify", "--model", model, "--key", folder], [folder]),
         (["verify", "--model", str(garbage), "--key", str(key)], [str(garbage)]),

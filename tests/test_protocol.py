@@ -399,6 +399,20 @@ def test_message_log_rejects_a_client_in_two_steps_of_one_batch():
         log.verify_ordering()
 
 
+def test_message_log_rejects_a_step_whose_entries_differ_in_clients():
+    # Per client, each triple shows the four kinds in order, but the step's
+    # initial gradient was logged once per client instead of once for the
+    # group, so the step does not carry one client tuple.
+    log = MessageLog()
+    log.append(MessageKind.ACTIVATION, 0, (0, 1), 0, (1, 2))
+    log.append(MessageKind.LOGITS, 0, (0, 1), 0, (1, 2))
+    log.append(MessageKind.INITIAL_GRADIENT, 0, (0,), 0, (1, 2))
+    log.append(MessageKind.INITIAL_GRADIENT, 0, (1,), 0, (1, 2))
+    log.append(MessageKind.FINAL_GRADIENT, 0, (0, 1), 0, (1, 2))
+    with pytest.raises(ProtocolError, match=r"\(0, 0, 0\)"):
+        log.verify_ordering()
+
+
 def test_message_log_reads_entries_back_per_client():
     log = MessageLog()
     for batch in (0, 1):
@@ -406,7 +420,8 @@ def test_message_log_reads_entries_back_per_client():
             log.append(kind, 2, (3, 1), batch, (5, 4))
     log.verify_ordering()
     assert len(log.entries) == 8
-    assert log.messages == [
+    assert len(log.messages) == 16
+    assert list(log.messages) == [
         protocol.Message(kind, 2, ci, batch, (5, 4))
         for batch in (0, 1)
         for kind in protocol._BATCH_SEQUENCE
@@ -602,14 +617,20 @@ model.split = 1
 """
 
 
-@pytest.mark.parametrize("noise", [None, NoiseSpec(snr=1.0)], ids=["quiet", "noisy"])
-def test_lockstep_groups_match_clients_trained_one_by_one(noise):
+@pytest.mark.parametrize(
+    "noise, keyed",
+    [(None, True), (NoiseSpec(snr=1.0), True), (None, False)],
+    ids=["quiet", "noisy", "quiet-keyless"],
+)
+def test_lockstep_groups_match_clients_trained_one_by_one(noise, keyed):
     cfg = parse_config(_SKEWED)
     shards, test = build_data(cfg)
     assert [len(s) for s in shards] == [3, 3, 3, 3, 39, 3, 3, 3, 27, 3]
     spec, pcfg, seed = cfg.split_spec(), cfg.protocol(), 1
-    key = keygen(RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, 4)
-    embed = EmbedConfig(strength=0.5)
+    key = embed = None
+    if keyed:
+        key = keygen(RngStream(seed, StreamLabel.WATERMARK_KEY), spec.split_dim, 4)
+        embed = EmbedConfig(strength=0.5)
     res = run_experiment(
         spec, pcfg, shards, test, seed, key=key, embed=embed, noise=noise,
         keep_rounds=range(pcfg.n_rounds),
@@ -648,7 +669,8 @@ def test_lockstep_groups_match_clients_trained_one_by_one(noise):
         weights = [len(s) for s in shards]
         model = SplitModel(*(fedavg_segments(list(s), weights) for s in zip(*trained)))
 
-    assert res.batch_stats == stats  # client-major, bit for bit
+    assert list(res.batch_stats) == stats  # client-major, bit for bit
+    assert all((st.wm_loss is None) != keyed for st in stats)
     assert sorted(res.grad_rounds) == sorted(rows)
     for t, got in rows.items():
         assert np.array_equal(res.grad_rounds[t], np.vstack(got))
@@ -662,3 +684,18 @@ def test_lockstep_groups_match_clients_trained_one_by_one(noise):
         pcfg.local_epochs * math.ceil(n / pcfg.batch_size) for n in {len(s) for s in shards}
     )
     assert len(res.message_log.entries) == 4 * steps
+
+
+def test_run_record_counts_on_the_skewed_split():
+    # Two rounds of two local epochs: eight clients of 3 samples take one
+    # batch of 10 per epoch, the 39- and 27-sample clients four and three.
+    cfg = parse_config(_SKEWED)
+    res = train_run(cfg).result
+    assert len(res.batch_stats) == 2 * 2 * (8 * 1 + 4 + 3) == 60
+    assert len(res.message_log.messages) == 4 * 60
+    assert sum(1 for _ in res.message_log.messages) == 4 * 60
+    rows = list(res.batch_stats)
+    assert len(rows) == 60 and res.batch_stats[-1] == rows[-1]
+    # Round 1's metrics row is the mean of its block of 30 client-batches.
+    assert res.batch_stats[30:].mean().main_loss == res.metrics[1].main_loss
+    assert res.metrics[1].main_loss == float(np.mean([st.main_loss for st in rows[30:]]))
