@@ -18,6 +18,7 @@ stacked call equals, bit for bit, the unstacked call on replica i.
 from __future__ import annotations
 
 import binascii
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -424,25 +425,25 @@ def hex_lines(tag: str, rows: np.ndarray) -> bytes:
     return lines[lines != 0].tobytes()
 
 
-def hex_rows(lines: list[str], pos: int, tag: str, n_rows: int, n_cols: int) -> np.ndarray:
-    """The (n_rows, n_cols) float64 block of the lines "tag v0 v1 ..." at
-    lines[pos:pos + n_rows], the inverse of hex_lines for one block. A
-    block that ends early, a line with another tag or width, or a
-    non-finite value raises ValueError naming the line (lines[0] is line 1)."""
-    block = lines[pos : pos + n_rows]
+def hex_rows(block: list[str], line_no: int, tag: str, n_rows: int, n_cols: int) -> np.ndarray:
+    """The (n_rows, n_cols) float64 array of the lines "tag v0 v1 ..." in
+    block, whose first line is file line line_no: the inverse of hex_lines
+    for one block. A block shorter than n_rows (the file ended), a line
+    with another tag or width, or a non-finite value raises ValueError
+    naming the file line."""
     values: list[str] = []
-    for line_no, line in enumerate(block, pos + 1):
+    for i, line in enumerate(block, line_no):
         row = line.split()
         if row[:1] != [tag] or len(row) != n_cols + 1:
-            raise ValueError(f"expected a {tag} row of {n_cols} values at line {line_no}")
+            raise ValueError(f"expected a {tag} row of {n_cols} values at line {i}")
         values += row[1:]
     if len(block) < n_rows:
-        raise ValueError(f"file ends early, before line {pos + len(block) + 1}")
+        raise ValueError(f"file ends early, before line {line_no + len(block)}")
     out = np.fromiter(map(float.fromhex, values), np.float64, len(values))
     out = out.reshape(n_rows, n_cols)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
-        raise ValueError(f"non-finite value at line {pos + 1 + int(finite.argmin())}")
+        raise ValueError(f"non-finite value at line {line_no + int(finite.argmin())}")
     return out
 
 
@@ -475,45 +476,77 @@ def save_model(model: SplitModel, path: str) -> None:
                 fh.write(hex_lines("b", layer.b[None]))
 
 
+def _body_blocks(specs: list[LayerSpec]):
+    """(tag, rows, width) of each block of a segment's checkpoint body, in
+    file order: per layer, its w rows in blocks of _ROW_BLOCK, then its b row."""
+    for spec in specs:
+        for start in range(0, spec.in_dim, _ROW_BLOCK):
+            yield "w", min(_ROW_BLOCK, spec.in_dim - start), spec.out_dim
+        yield "b", 1, spec.out_dim
+
+
 def load_model(path: str) -> SplitModel:
     """Read a checkpoint written by save_model; any other file, including
     one that ends early, goes on after the last segment or holds a
-    non-finite value, raises ValueError naming the line."""
+    non-finite value, raises ValueError naming the line. The body is read
+    _ROW_BLOCK rows at a time into one buffer per segment, so the file's
+    text is never held whole."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"not a {_MAGIC} checkpoint")
+        if fh.readline().rstrip("\n") != _MAGIC:
+            raise ValueError(f"not a {_MAGIC} checkpoint")
+        line_no = 1
 
-    def fields(pos: int) -> list[str]:
-        if pos >= len(lines):
-            raise ValueError(f"checkpoint ends early, before line {pos + 1}")
-        return lines[pos].split()
+        def fields() -> list[str]:
+            nonlocal line_no
+            line_no += 1
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"checkpoint ends early, before line {line_no}")
+            return line.split()
 
-    pos = 1
-    seg_specs = []
-    for name in _SEGMENTS:
-        head = fields(pos)
-        if len(head) != 3 or head[:2] != ["segment", name]:
-            raise ValueError(f"expected 'segment {name} <layers>' at line {pos + 1}")
-        pos += 1
-        specs = []
-        for _ in range(int(head[2])):
-            layer = fields(pos)
-            if len(layer) != 4 or layer[0] != "layer":
-                raise ValueError(f"malformed layer spec at line {pos + 1}")
-            specs.append(LayerSpec(int(layer[1]), int(layer[2]), layer[3]))
-            pos += 1
-        seg_specs.append(specs)
-    # The body holds each segment's params in order: per layer, in_dim w
-    # rows then one b row, each out_dim values wide.
-    segments = []
-    for specs in seg_specs:
-        parts = []
-        for spec in specs:
-            for tag, n_rows in (("w", spec.in_dim), ("b", 1)):
-                parts.append(hex_rows(lines, pos, tag, n_rows, spec.out_dim).ravel())
-                pos += n_rows
-        segments.append(Segment(specs, np.concatenate(parts)))
-    if pos < len(lines):
-        raise ValueError(f"unexpected line {pos + 1} after the last segment")
-    return SplitModel(*segments)
+        segments = []  # (name, line number, specs) per segment
+        chain = []  # (line number, spec) of every layer, across segments
+        for name in _SEGMENTS:
+            head = fields()
+            if len(head) != 3 or head[:2] != ["segment", name] or not head[2].isdigit():
+                raise ValueError(f"expected 'segment {name} <layers>' at line {line_no}")
+            if int(head[2]) < 1:
+                raise ValueError(f"segment {name} needs at least one layer, at line {line_no}")
+            segments.append((name, line_no, []))
+            for _ in range(int(head[2])):
+                layer = fields()
+                if len(layer) != 4 or layer[0] != "layer":
+                    raise ValueError(f"malformed layer spec at line {line_no}")
+                try:
+                    spec = LayerSpec(int(layer[1]), int(layer[2]), layer[3])
+                except ValueError as exc:
+                    raise ValueError(f"malformed layer spec at line {line_no}: {exc}") from None
+                segments[-1][2].append(spec)
+                chain.append((line_no, spec))
+        for (_, prev), (spec_line, spec) in zip(chain, chain[1:]):
+            if prev.out_dim != spec.in_dim:
+                raise ValueError(
+                    f"layer chain breaks: {prev.out_dim} -> {spec.in_dim} at line {spec_line}"
+                )
+        # The body holds each segment's params in the order of its buffer.
+        loaded = []
+        for name, seg_line, specs in segments:
+            size = sum(s.in_dim * s.out_dim + s.out_dim for s in specs)
+            try:
+                params = np.empty(size)
+            except (MemoryError, ValueError):
+                raise ValueError(
+                    f"segment {name} at line {seg_line} holds {size} parameters, "
+                    "too many to load"
+                ) from None
+            pos = 0
+            for tag, n_rows, n_cols in _body_blocks(specs):
+                block = list(itertools.islice(fh, n_rows))
+                rows = hex_rows(block, line_no + 1, tag, n_rows, n_cols)
+                params[pos : pos + rows.size] = rows.ravel()
+                pos += rows.size
+                line_no += n_rows
+            loaded.append(Segment(specs, params))
+        if fh.readline():
+            raise ValueError(f"unexpected line {line_no + 1} after the last segment")
+    return SplitModel(*loaded)

@@ -355,7 +355,7 @@ def load_key(path: str) -> WatermarkKey:
     if missing:
         raise ValueError(f"key file header lacks {', '.join(missing)}")
     d, k, seed = int(fields["d"]), int(fields["k"]), int(fields["seed"])
-    m = hex_rows(lines[:-1], 4, "m", d, k)
+    m = hex_rows(lines[:-1][4 : 4 + d], 5, "m", d, k)
     bits_line = lines[4 + d]
     if not bits_line.startswith("bits "):
         raise ValueError("malformed bits line")

@@ -139,6 +139,10 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
         with open(path, "w") as fh:
             fh.writelines(body_lines)
     after_end = f"line {len(lines) + 1}"
+    # a checkpoint whose bottom segment claims no layers
+    no_layers = str(tmp_path / "no_layers.ckpt")
+    with open(no_layers, "w") as fh:
+        fh.writelines(lines[:1] + ["segment bottom 0\n"] + lines[2:])
     body = key.read_text().rsplit("\nchecksum ", 1)[0].replace("\nd ", "\nx ", 1)
     no_d = tmp_path / "no_d.txt"
     no_d.write_text(body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
@@ -177,6 +181,7 @@ def test_verify_missing_files_exit_config(tmp_path, tiny_cfg, capsys):
         (["verify", "--model", inf, "--key", str(key)], [inf, "line 8"]),
         (["verify", "--model", nan, "--key", str(key)], [nan, "line 8"]),
         (["verify", "--model", trailing, "--key", str(key)], [trailing, after_end]),
+        (["verify", "--model", no_layers, "--key", str(key)], [no_layers, "line 2"]),
         (["verify", "--model", model, "--key", str(no_d)], [str(no_d), "lacks d"]),
         (["verify", "--model", model, "--key", str(short_m)], [str(short_m), "line 5"]),
         (["verify", "--model", model, "--key", str(short_m8)], [str(short_m8), "line 8"]),

@@ -230,14 +230,20 @@ def test_load_model_rejects_cut_and_malformed_files(tmp_path):
             load_model(str(bad))
     header = 7  # magic, then one segment line and one layer line per segment
     w_row = lines[header]
-    cases = {
-        header: w_row.rsplit(" ", 1)[0] + "\n",  # a w row one value short
-        header + 1: w_row.rstrip("\n") + " 0x0p+0\n",  # a w row one value long
-        header + 2: "b" + w_row[1:],  # a b where the last w row belongs
-        1: "segment middle 1\n",  # segments out of order
-        2: "layer 3 4\n",  # a layer spec without activation
-    }
-    for i, text in cases.items():
+    cases = [
+        (header, w_row.rsplit(" ", 1)[0] + "\n"),  # a w row one value short
+        (header + 1, w_row.rstrip("\n") + " 0x0p+0\n"),  # a w row one value long
+        (header + 2, "b" + w_row[1:]),  # a b where the last w row belongs
+        (1, "segment middle 1\n"),  # segments out of order
+        (1, "segment bottom x\n"),  # a layer count that is not a number
+        (1, "segment bottom 0\n"),  # or is below 1
+        (2, "layer 3 4\n"),  # a layer spec without activation
+        (2, "layer 3 four relu\n"),  # a dimension that is not a number
+        (2, "layer 3 4 tanh\n"),  # an unknown activation
+        (2, "layer 0 4 relu\n"),  # a dimension below 1
+        (4, "layer 5 4 relu\n"),  # a chain that breaks at the split point
+    ]
+    for i, text in cases:
         bad.write_text("".join(lines[:i] + [text] + lines[i + 1 :]))
         with pytest.raises(ValueError, match=f"line {i + 1}"):
             load_model(str(bad))
@@ -274,8 +280,8 @@ def test_hex_rows_reads_back_what_hex_lines_writes():
     rows = rng.integers(0, 2**64, size=(40, 30), dtype=np.uint64).view(np.float64)
     rows[~np.isfinite(rows)] = 0.0
     rows[0, :3] = (0.0, -0.0, 5e-324)
-    lines = ["header"] + hex_lines("w", rows).decode().splitlines()
-    back = hex_rows(lines, 1, "w", 40, 30)
+    lines = hex_lines("w", rows).decode().splitlines()  # file lines 2-41
+    back = hex_rows(lines, 2, "w", 40, 30)
     assert back.tobytes() == rows.tobytes()  # bit for bit, -0.0 included
     for args, message in (
         ((41, 30, "w"), "ends early, before line 42"),
@@ -284,10 +290,10 @@ def test_hex_rows_reads_back_what_hex_lines_writes():
     ):
         n_rows, n_cols, tag = args
         with pytest.raises(ValueError, match=message):
-            hex_rows(lines, 1, tag, n_rows, n_cols)
-    lines[7] = "w inf " + lines[7].split(" ", 2)[2]
+            hex_rows(lines, 2, tag, n_rows, n_cols)
+    lines[6] = "w inf " + lines[6].split(" ", 2)[2]
     with pytest.raises(ValueError, match="non-finite value at line 8"):
-        hex_rows(lines, 1, "w", 40, 30)
+        hex_rows(lines, 2, "w", 40, 30)
 
 
 def test_hex_lines_is_float_hex_on_every_kind_of_bit_pattern():
@@ -317,6 +323,61 @@ def test_hex_lines_is_float_hex_on_every_kind_of_bit_pattern():
     expected = "".join("m " + " ".join(float(v).hex() for v in row) + "\n" for row in values)
     assert hex_lines("m", values) == expected.encode("ascii")
     assert hex_lines("b", values[4, :1][None]) == b"b 0x0.0p+0\n"
+
+
+def test_load_model_names_the_line_across_a_block_boundary(tmp_path):
+    # 40 w rows are read as blocks of 32 and 8: the layer's rows 32, 33 and
+    # 34 sit at file lines 39, 40 and 41, around the first block's end.
+    spec = SplitSpec(
+        bottom=(LayerSpec(40, 4),),
+        middle=(LayerSpec(4, 4),),
+        head=(LayerSpec(4, 2, "identity"),),
+    )
+    path = tmp_path / "model.ckpt"
+    model = init_split_model(spec, RngStream(9, StreamLabel.MODEL_INIT))
+    save_model(model, str(path))
+    assert load_model(str(path)).bottom.params.tobytes() == model.bottom.params.tobytes()
+    lines = path.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.ckpt"
+    for line_no in (39, 40, 41):
+        bad.write_text("".join(lines[: line_no - 1]))
+        with pytest.raises(ValueError, match=f"file ends early, before line {line_no}$"):
+            load_model(str(bad))
+        mistagged = "b" + lines[line_no - 1][1:]
+        bad.write_text("".join(lines[: line_no - 1] + [mistagged] + lines[line_no:]))
+        with pytest.raises(ValueError, match=f"expected a w row of 4 values at line {line_no}$"):
+            load_model(str(bad))
+
+
+def test_load_model_rejects_a_header_too_large_to_allocate(tmp_path):
+    big = 10**15  # 8 PB of parameters, not 8 bytes of file
+    path = tmp_path / "big.ckpt"
+    path.write_text(
+        f"splitmodel v1\nsegment bottom 1\nlayer 3 {big} relu\n"
+        f"segment middle 1\nlayer {big} 4 relu\nsegment head 1\nlayer 4 2 identity\n"
+    )
+    with pytest.raises(ValueError, match="segment bottom at line 2 .* too many to load"):
+        load_model(str(path))
+
+
+def test_load_model_streams_instead_of_holding_the_whole_text(tmp_path):
+    # Holding the wide checkpoint's lines, value strings and a concatenated
+    # copy peaked at 8.8 MB; reading 32-row blocks into each segment's
+    # buffer (1.05 MB of parameters) peaks near 2 MB.
+    path = tmp_path / "model.ckpt"
+    model = init_split_model(_WIDE, RngStream(0, StreamLabel.MODEL_INIT))
+    save_model(model, str(path))
+    tracemalloc.start()
+    try:
+        clone = load_model(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    for seg, other in zip(
+        (model.bottom, model.middle, model.head), (clone.bottom, clone.middle, clone.head)
+    ):
+        assert seg.params.tobytes() == other.params.tobytes()
 
 
 def test_save_model_streams_instead_of_holding_the_whole_text(tmp_path):
