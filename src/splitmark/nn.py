@@ -459,6 +459,17 @@ _SEGMENTS = ("bottom", "middle", "head")
 _ROW_BLOCK = 32
 
 
+def _body_blocks(seg: Segment):
+    """(tag, rows) of each block of a segment's checkpoint body, in file
+    order: per layer, its w rows in blocks of _ROW_BLOCK, then its b row.
+    Each rows is a view of the segment's params, which save_model writes
+    and load_model fills."""
+    for layer in seg.layers:
+        for start in range(0, layer.spec.in_dim, _ROW_BLOCK):
+            yield "w", layer.w[start : start + _ROW_BLOCK]
+        yield "b", layer.b[None]
+
+
 def save_model(model: SplitModel, path: str) -> None:
     header = [_MAGIC]
     for name in _SEGMENTS:
@@ -470,19 +481,8 @@ def save_model(model: SplitModel, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("ascii") + b"\n")
         for name in _SEGMENTS:
-            for layer in getattr(model, name).layers:
-                for start in range(0, layer.spec.in_dim, _ROW_BLOCK):
-                    fh.write(hex_lines("w", layer.w[start : start + _ROW_BLOCK]))
-                fh.write(hex_lines("b", layer.b[None]))
-
-
-def _body_blocks(specs: list[LayerSpec]):
-    """(tag, rows, width) of each block of a segment's checkpoint body, in
-    file order: per layer, its w rows in blocks of _ROW_BLOCK, then its b row."""
-    for spec in specs:
-        for start in range(0, spec.in_dim, _ROW_BLOCK):
-            yield "w", min(_ROW_BLOCK, spec.in_dim - start), spec.out_dim
-        yield "b", 1, spec.out_dim
+            for tag, rows in _body_blocks(getattr(model, name)):
+                fh.write(hex_lines(tag, rows))
 
 
 def load_model(path: str) -> SplitModel:
@@ -539,14 +539,12 @@ def load_model(path: str) -> SplitModel:
                     f"segment {name} at line {seg_line} holds {size} parameters, "
                     "too many to load"
                 ) from None
-            pos = 0
-            for tag, n_rows, n_cols in _body_blocks(specs):
-                block = list(itertools.islice(fh, n_rows))
-                rows = hex_rows(block, line_no + 1, tag, n_rows, n_cols)
-                params[pos : pos + rows.size] = rows.ravel()
-                pos += rows.size
-                line_no += n_rows
-            loaded.append(Segment(specs, params))
+            seg = Segment(specs, params)
+            for tag, rows in _body_blocks(seg):
+                block = list(itertools.islice(fh, len(rows)))
+                rows[...] = hex_rows(block, line_no + 1, tag, *rows.shape)
+                line_no += len(rows)
+            loaded.append(seg)
         if fh.readline():
             raise ValueError(f"unexpected line {line_no + 1} after the last segment")
     return SplitModel(*loaded)

@@ -26,16 +26,16 @@ stacks batch j of every client in the group along a leading replica axis
 and runs the four messages once for all of them, against G replicas of
 the bottom, middle and head segments (see nn), and logs each message once
 per step. Each client keeps its own shuffle and noise streams and its own
-BatchStats per batch; a run stores them as one float64 table in
-client-major order within each round, and FedAvg sums in client order, so
-a run gives the same bits as training the clients one after another. IID
-shards of equal size form one group, a skewed partition several, a single
-client a group of one.
+column of BatchStats fields per batch: a step's fields travel as one
+float64 array from the server's reply into the run's table, client-major
+within each round, and FedAvg sums in client order, so a run gives the
+same bits as training the clients one after another. IID shards of equal
+size form one group, a skewed partition several, a single client a group
+of one.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -172,11 +172,13 @@ def _reject_step(step: Sequence[tuple]) -> NoReturn:
 
 
 class BatchStats(NamedTuple):
-    """Scalars observed while processing one client's batch.
+    """Scalars observed while processing one client's batch, as read back
+    from a run's table, whose rows follow the fields' order.
 
     The server observes the first five in grad_reply; the four watermark
-    fields are None without a key. The client's loss and accuracy come
-    last, since the server never sees labels; train_batch joins the two.
+    fields are NaN in the table without a key and read None here. The
+    client's loss and accuracy come last, since the server never sees
+    labels; train_batch joins the two.
     """
 
     g_main_norm: float
@@ -228,10 +230,11 @@ class BatchStatsTable(Sequence):
         return self._stats(self._table.mean(axis=1).tolist())
 
 
-def _norms(g: np.ndarray) -> list[float]:
-    """Frobenius norm of each replica of a (G, batch, d) stack; each sum of
-    squares runs over one contiguous replica, as (g[i]**2).sum() does."""
-    return list(map(math.sqrt, (g**2).sum(axis=(1, 2)).tolist()))
+def _norms(g: np.ndarray) -> np.ndarray:
+    """The (G,) Frobenius norms of the replicas of a (G, batch, d) stack;
+    each sum of squares runs over one contiguous replica, as
+    (g[i]**2).sum() does."""
+    return np.sqrt((g**2).sum(axis=(1, 2)))
 
 
 class ClientWorker:
@@ -349,10 +352,10 @@ class ServerWorker:
         activations are projected onto the key once, and each gradient norm
         is taken once; loss, gradient, clip and diagnostics all reuse them.
 
-        Returns the reply and, per replica, the server's five BatchStats
-        fields as a tuple of floats (the watermark ones None without a
-        key). A non-finite activation or gradient in any replica raises
-        NumericalError before anything is sent.
+        Returns the reply and the server's five BatchStats fields as a
+        (5, G) float64 array, a column per replica; the four watermark rows
+        are NaN without a key. A non-finite activation or gradient in any
+        replica raises NumericalError before anything is sent.
         """
         if self._tape is None:
             raise ProtocolError("grad_reply called before middle_forward")
@@ -361,28 +364,20 @@ class ServerWorker:
         self._tape = None
         a, self._activation = self._activation, None
         main_norms = _norms(g_main)
-        # A sum of norms is finite only if every norm is: a finite norm is
-        # below 1.4e154, so a few of them cannot overflow.
         if self.key is None:
-            if not math.isfinite(sum(main_norms)):
+            if not np.isfinite(main_norms).all():
                 raise NumericalError("non-finite task gradient in the server's reply")
-            return g_main, [(n, None, None, None, None) for n in main_norms]
+            return g_main, np.vstack([main_norms, np.full((4, len(main_norms)), np.nan)])
         p = project(a, self.key)
         g_wm = wm_gradient(p, self.key)
         wm_norms = _norms(g_wm)
         # One test covers g_main and g_wm, and so the clipped term, which is
         # g_wm scaled by a factor in [0, 1].
-        if not math.isfinite(sum(main_norms) + sum(wm_norms)):
+        if not np.isfinite(main_norms + wm_norms).all():
             raise NumericalError("non-finite gradient in the server's reply")
         g_clipped = adaptive_clip(g_wm, self.embed, wm_norms, main_norms)
-        stats = list(
-            zip(
-                main_norms,
-                wm_loss(p, self.key).tolist(),
-                wm_norms,
-                _norms(g_clipped),
-                cosine(g_main, g_wm),
-            )
+        stats = np.array(
+            [main_norms, wm_loss(p, self.key), wm_norms, _norms(g_clipped), cosine(g_main, g_wm)]
         )
         g_final = g_main
         if self.embed.strength > 0.0:
@@ -398,14 +393,16 @@ def train_batch(
     log: MessageLog,
     round_idx: int,
     batch_idx: int,
-) -> tuple[list[BatchStats], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One full exchange over batch batch_idx of every client in the group.
 
     x is the (G, batch, in_dim) stack of the group's inputs and y the
     (G, batch) labels. Each message is logged once for the group, with each
-    client's own (batch, width) shape. Returns one BatchStats per client,
-    in the group's order, and the (G, batch, split) final gradients as
-    sent by the server (before any client-side noise).
+    client's own (batch, width) shape. Returns the batch's BatchStats fields
+    as a (7, G) float64 array, a row per field in BatchStats order and a
+    column per client in the group's order (grad_reply's five rows, then the
+    client's loss and accuracy), and the (G, batch, split) final gradients
+    as sent by the server (before any client-side noise).
     """
     clients = client.clients
     a = client.bottom_forward(x)
@@ -416,14 +413,10 @@ def train_batch(
     log.append(
         MessageKind.INITIAL_GRADIENT, round_idx, clients, batch_idx, g_initial.shape[1:]
     )
-    g_final, replies = server.grad_reply(g_initial)
+    g_final, reply = server.grad_reply(g_initial)
     log.append(MessageKind.FINAL_GRADIENT, round_idx, clients, batch_idx, g_final.shape[1:])
     client.apply_final(g_final)
-    stats = [
-        BatchStats(*reply, loss, acc)
-        for reply, loss, acc in zip(replies, losses.tolist(), accs.tolist())
-    ]
-    return stats, g_final
+    return np.vstack([reply, losses, accs]), g_final
 
 
 def fedavg_segments(segments: list[Segment], weights) -> Segment:
@@ -490,10 +483,10 @@ class RoundMetrics:
 class RunResult:
     """Everything a run leaves behind.
 
-    batch_stats holds every client-batch's BatchStats, round by round and
-    client-major within a round. grad_rounds maps each kept round
-    (run_experiment's keep_rounds) to the final gradients that client
-    cfg.detector_client received that round, stacked per sample; the
+    batch_stats reads every client-batch's BatchStats from the run's table,
+    round by round and client-major within a round. grad_rounds maps each
+    kept round (run_experiment's keep_rounds) to the final gradients that
+    client cfg.detector_client received that round, stacked per sample; the
     adaptive attack estimates its subspace from them.
     """
 
@@ -525,10 +518,11 @@ def run_experiment(
     replica of the server segment; afterwards client and server sides are
     both averaged with shard-size weights. Clients whose shards are equally
     long train in lockstep as one group (see the module docstring); the
-    result is the same, bit for bit, as training them one by one. When a
-    key is given, the
-    aggregated bottom is probed after every round with fresh random inputs
-    and the match rate is recorded. When a detector state is given, the
+    result is the same, bit for bit, as training them one by one. Each
+    step's (7, G) block from train_batch is written straight into the run's
+    table, one column per client-batch. When a key is given, the aggregated
+    bottom is probed after every round with fresh random inputs and the
+    match rate is recorded. When a detector state is given, the
     per-sample final gradients received by the detector client are scored
     once per round. RunResult.grad_rounds keeps those rows only for the
     rounds in keep_rounds (the detector remembers its own recent rounds).
@@ -613,22 +607,22 @@ def run_experiment(
             if cfg.detector_client in group and (detector is not None or t in keep):
                 watched = group.index(cfg.detector_client)
                 received = rows = np.empty((cfg.local_epochs * n, spec.split_dim))
-            steps: list[list[BatchStats]] = []
+            # Each client's first table column this round; step j writes j on.
+            cols = t * per_round + starts[list(group)]
+            step = 0
             for epoch in range(cfg.local_epochs):
                 order = np.stack([shuffle_rngs[ci].permutation(n) for ci in group])
                 order += offsets
                 for start in range(0, n, cfg.batch_size):
                     sel = order[:, start : start + cfg.batch_size]
-                    step, g_final = train_batch(
-                        client, server, inputs[sel], labels[sel], log, t, len(steps)
+                    block, g_final = train_batch(
+                        client, server, inputs[sel], labels[sel], log, t, step
                     )
-                    steps.append(step)
+                    table[:, cols + step] = block
+                    step += 1
                     if received is not None:
                         row = epoch * n + start
                         received[row : row + sel.shape[1]] = g_final[watched]
-            # (step, replica, field) -> (field, replica, step); a None reads NaN
-            cols = t * per_round + starts[list(group)][:, None] + np.arange(len(steps))
-            table[:, cols] = np.array(steps, dtype=np.float64).transpose(2, 1, 0)
             for i, ci in enumerate(group):
                 trained[ci] = tuple(
                     seg.replica(i) for seg in (client.bottom, server.middle, client.head)

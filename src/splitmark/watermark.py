@@ -194,11 +194,14 @@ def adaptive_clip(g_wm: np.ndarray, cfg: EmbedConfig, wm_norm, main_norm) -> np.
 
     factor = min(1, strength * ||g_main|| / (||g_wm|| + CLIP_EPSILON)); the
     gradient is only ever shrunk, never amplified. wm_norm and main_norm are
-    the per-replica Frobenius norms of g_wm and of the task gradient g_main,
-    which the caller already holds.
+    the (G,) arrays of the Frobenius norms of g_wm and of the task gradient
+    g_main, which the caller already holds.
     """
-    pairs = zip(wm_norm, main_norm)
-    factors = np.array([min(1.0, cfg.strength * m / (w + CLIP_EPSILON)) for w, m in pairs])
+    # Infinite strength against a zero task norm gives inf * 0 = NaN, which
+    # fmin reads as 1.0, and a ratio that overflows gives inf, so 1.0 too.
+    # Both mean "no clip", so neither warns.
+    with np.errstate(invalid="ignore", over="ignore"):
+        factors = np.fmin(1.0, cfg.strength * main_norm / (wm_norm + CLIP_EPSILON))
     return g_wm * factors.reshape(g_wm.shape[:-2] + (1, 1))
 
 

@@ -119,7 +119,8 @@ def test_final_gradient_decomposes():
     g_main, a = outs["plain"]
     g_keyed, _ = outs["keyed"]
     g_wm = wm_gradient(project(a[None], key), key)
-    expected = g_main + adaptive_clip(g_wm, embed, [_norm(g_wm)], [_norm(g_main)])[0]
+    norms = np.array([_norm(g_wm)]), np.array([_norm(g_main)])
+    expected = g_main + adaptive_clip(g_wm, embed, *norms)[0]
     assert np.allclose(g_keyed, expected, atol=1e-12)
 
 
@@ -162,23 +163,24 @@ def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch)
 
     monkeypatch.setattr(protocol, "backward_segment", recording_backward)
     server.middle_forward(a[None])
-    g_final, (stats,) = server.grad_reply(g_initial[None])
+    g_final, stats = server.grad_reply(g_initial[None])
 
     _, tape = forward_segment(model.middle, a)
     g_main, _ = backward_segment(model.middle, tape, g_initial)
     p = project(a[None], key)
     g_wm = wm_gradient(p, key)[0]
-    g_clipped = adaptive_clip(g_wm[None], embed, [_norm(g_wm)], [_norm(g_main)])[0]
-    assert stats == (
+    norms = np.array([_norm(g_wm)]), np.array([_norm(g_main)])
+    g_clipped = adaptive_clip(g_wm[None], embed, *norms)[0]
+    # Five rows, one column: no loss or accuracy, since no labels are here.
+    assert stats.dtype == np.float64 and stats.shape == (5, 1)
+    assert stats[:, 0].tolist() == [
         _norm(g_main),
         wm_loss(p, key)[0],
         _norm(g_wm),
         _norm(g_clipped),
         cosine(g_main[None], g_wm[None])[0],
-    )
-    assert all(type(v) is float for v in stats[:5])
-    assert len(stats) == 5  # no loss or accuracy: no labels here
-    assert (stats[3] < stats[2]) == binds  # clipped vs raw watermark norm
+    ]
+    assert (stats[3, 0] < stats[2, 0]) == binds  # clipped vs raw watermark norm
     assert np.array_equal(sent[0][0], g_main)
     if embed.strength == 0.0:
         assert g_final is sent[0]
@@ -188,18 +190,20 @@ def test_grad_reply_is_bitwise_the_public_composition(embed, binds, monkeypatch)
 
 def test_train_batch_adds_the_client_fields_to_the_reply(monkeypatch):
     # The batch record is the server's, with only the client's loss and
-    # accuracy filled in.
+    # accuracy added below it.
     server, model = _server(_key(), EmbedConfig(strength=0.1))
-    reply = (1.0, 2.0, 3.0, 4.0, 5.0)
+    reply = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
     real_reply = server.grad_reply
-    monkeypatch.setattr(server, "grad_reply", lambda g: (real_reply(g)[0], [reply]))
+    monkeypatch.setattr(server, "grad_reply", lambda g: (real_reply(g)[0], reply))
     client = ClientWorker([0])
     client.start_round(model.bottom, model.head, OptimizerConfig())
     shards, _ = _shards(3)
     x, y = shards[0].inputs[:5], shards[0].labels[:5]
-    (stats,), _ = train_batch(client, server, x[None], y[None], MessageLog(), 0, 0)
-    assert stats[:5] == reply[:5]
-    assert type(stats.main_loss) is float and 0.0 <= stats.train_acc <= 1.0
+    stats, _ = train_batch(client, server, x[None], y[None], MessageLog(), 0, 0)
+    assert stats.dtype == np.float64 and stats.shape == (7, 1)
+    assert np.array_equal(stats[:5], reply)
+    main_loss, train_acc = stats[5:, 0]
+    assert np.isfinite(main_loss) and 0.0 <= train_acc <= 1.0
 
 
 _BENCH_SPANS = ("project", "wm_loss", "wm_gradient", "adaptive_clip", "compose", "cosine")
@@ -222,9 +226,10 @@ def test_each_watermark_span_runs_once_per_keyed_batch(keyed, monkeypatch):
     client.start_round(model.bottom, model.head, OptimizerConfig())
     shards, _ = _shards(3)
     x, y = shards[0].inputs[:5], shards[0].labels[:5]
-    (stats,), _ = train_batch(client, server, x[None], y[None], MessageLog(), 0, 0)
+    stats, _ = train_batch(client, server, x[None], y[None], MessageLog(), 0, 0)
     assert counts == dict.fromkeys(_BENCH_SPANS, 1 if keyed else 0)
-    assert (stats.wm_loss is not None) == keyed
+    # The four watermark rows are NaN exactly when no key is loaded.
+    assert (np.isnan(stats[1:5]) != keyed).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -658,9 +663,9 @@ def test_lockstep_groups_match_clients_trained_one_by_one(noise, keyed):
                 for start in range(0, len(shard), pcfg.batch_size):
                     sel = order[start : start + pcfg.batch_size]
                     x, y = shard.inputs[sel][None], shard.labels[sel][None]
-                    (st,), g_final = train_batch(client, server, x, y, log, t, batch_idx)
+                    block, g_final = train_batch(client, server, x, y, log, t, batch_idx)
                     batch_idx += 1
-                    stats.append(st)
+                    stats.append(block[:, 0])
                     if ci == pcfg.detector_client:
                         rows.setdefault(t, []).append(g_final[0])
             trained.append(
@@ -669,8 +674,9 @@ def test_lockstep_groups_match_clients_trained_one_by_one(noise, keyed):
         weights = [len(s) for s in shards]
         model = SplitModel(*(fedavg_segments(list(s), weights) for s in zip(*trained)))
 
-    assert list(res.batch_stats) == stats  # client-major, bit for bit
-    assert all((st.wm_loss is None) != keyed for st in stats)
+    # client-major, bit for bit
+    assert list(res.batch_stats) == list(protocol.BatchStatsTable(np.column_stack(stats), keyed))
+    assert all((st.wm_loss is None) != keyed for st in res.batch_stats)
     assert sorted(res.grad_rounds) == sorted(rows)
     for t, got in rows.items():
         assert np.array_equal(res.grad_rounds[t], np.vstack(got))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,10 @@ def _clip(g_wm, g_main, cfg):
     """adaptive_clip on a stack of one, given the two Frobenius norms, as
     grad_reply calls it; returns replica 0."""
     return adaptive_clip(
-        g_wm[None], cfg, [math.sqrt((g_wm**2).sum())], [math.sqrt((g_main**2).sum())]
+        g_wm[None],
+        cfg,
+        np.array([math.sqrt((g_wm**2).sum())]),
+        np.array([math.sqrt((g_main**2).sum())]),
     )[0]
 
 
@@ -169,6 +173,19 @@ def test_adaptive_clip_zero_watermark_gradient():
     cfg = EmbedConfig(strength=0.5)
     out = _clip(np.zeros((2, 3)), np.ones((2, 3)), cfg)
     assert np.array_equal(out, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "strength, main", [(math.inf, 0.0), (1e300, 1e10)], ids=["inf-times-zero", "overflow"]
+)
+def test_adaptive_clip_unbounded_ratio_passes_through_quietly(strength, main):
+    # inf * 0 is NaN and 1e300 * 1e10 overflows to inf; either way the factor
+    # is 1.0, as min(1.0, nan) and min(1.0, inf) give, and no warning is raised.
+    g_wm = np.ones((2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _clip(g_wm, np.full((2, 3), main), EmbedConfig(strength=strength))
+    assert np.array_equal(out, g_wm)
 
 
 def test_clip_bound_randomized():
